@@ -8,7 +8,8 @@
 //
 // Method: inject constant-rate traffic at a sweep of rates so the buffer
 // dwells at different levels, and bin per-subframe (occupancy, trailing
-// 1 s TBS) samples by occupancy.
+// 1 s TBS) samples by occupancy. The occupancy is read every 1 ms subframe;
+// the TBS window is fed by the grant probe.
 
 #include <cstdio>
 #include <deque>
@@ -42,19 +43,26 @@ int main(int argc, char** argv) {
                                 /*seed=*/7 + static_cast<int>(rate_mbps * 10),
                                 [](Blob, SimTime) {});
 
-    // Trailing 1 s TBS window, fed by the subframe probe.
+    // Trailing 1 s TBS window, fed by the subframe probe (once per grant).
     std::deque<std::pair<SimTime, std::int64_t>> window;
     std::int64_t window_bytes = 0;
-    uplink.set_subframe_probe([&](SimTime now, std::int64_t buffer_bytes,
-                                  std::int64_t tbs) {
-      window.emplace_back(now, tbs);
-      window_bytes += tbs;
+    auto trim_window = [&](SimTime now) {
       while (!window.empty() && window.front().first < now - sec(1)) {
         window_bytes -= window.front().second;
         window.pop_front();
       }
+    };
+    uplink.set_subframe_probe(
+        [&](SimTime now, std::int64_t, std::int64_t tbs) {
+          window.emplace_back(now, tbs);
+          window_bytes += tbs;
+          trim_window(now);
+        });
+    simulator.schedule_periodic(msec(1), msec(1), [&]() {
+      const SimTime now = simulator.now();
       if (now < sec(2)) return;  // warm-up
-      auto bin = static_cast<int>(buffer_bytes / 1024);
+      trim_window(now);
+      auto bin = static_cast<int>(uplink.buffer_bytes() / 1024);
       if (bin > kBins) bin = kBins;
       bin_stats[bin].add(static_cast<double>(window_bytes) * 8.0 / 1e6);
     });

@@ -12,11 +12,13 @@
 #include <string_view>
 #include <vector>
 
+#include "poi360/common/rng.h"
 #include "poi360/core/adaptive_compression.h"
 #include "poi360/core/fbcc.h"
 #include "poi360/core/mismatch.h"
 #include "poi360/gcc/trendline.h"
 #include "poi360/lte/shared_cell.h"
+#include "poi360/lte/uplink.h"
 #include "poi360/obs/metrics_registry.h"
 #include "poi360/obs/sampling.h"
 #include "poi360/obs/trace.h"
@@ -371,6 +373,42 @@ static void BM_FleetSessionStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * config.sessions_per_cell);
 }
 BENCHMARK(BM_FleetSessionStep);
+
+// One standard normal from the owned polar-method distribution; the spare
+// deviate halves the log/sqrt/engine work per draw.
+static void BM_RngNormal(benchmark::State& state) {
+  Rng rng(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.normal(0.0, 1.0));
+  }
+}
+BENCHMARK(BM_RngNormal);
+
+// One simulated second of a saturated LTE uplink on the paper's default
+// channel: 250 grants (channel + telegraph steps, BSR, TBS drain) and 40
+// diagnostic reports, fed by a 12 Mbps source every 5 ms.
+static void BM_LteUplinkSecond(benchmark::State& state) {
+  struct Blob {
+    std::int64_t bytes = 0;
+  };
+  sim::Simulator simulator;
+  std::int64_t drained = 0;
+  lte::LteUplink<Blob> uplink(simulator, lte::ChannelConfig{},
+                              lte::UplinkConfig{}, 1,
+                              [&](Blob b, SimTime) { drained += b.bytes; });
+  uplink.set_diag_sink([](const lte::DiagReport&) {});
+  uplink.start();
+  simulator.schedule_periodic(msec(5), msec(5), [&]() {
+    uplink.push(Blob{bytes_at_rate(mbps(12), msec(5))});
+  });
+  SimTime t = 0;
+  for (auto _ : state) {
+    t += sec(1);
+    simulator.run_until(t);
+  }
+  benchmark::DoNotOptimize(drained);
+}
+BENCHMARK(BM_LteUplinkSecond);
 
 // Entry point: google-benchmark's main plus an `--out-json <path>` alias for
 // `--benchmark_out=<path> --benchmark_out_format=json`, matching the flag

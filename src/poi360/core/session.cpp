@@ -394,6 +394,7 @@ void Session::on_packet_paced(rtp::RtpPacket packet) {
     trace_->span_begin(sim_.now(), "frame", "phy", packet.frame_id,
                        {{"fragments", static_cast<double>(packet.fragments)}});
   }
+  if (packet.is_retransmission) queued_retx_.erase(packet.seq);
   sent_cache_.insert(packet);
   if (uplink_) {
     uplink_->push(std::move(packet));
@@ -457,14 +458,19 @@ void Session::on_nack(const NackMsg& msg) {
 
   const SimTime now = sim_.now();
   for (std::int64_t seq : msg.seqs) {
+    // A retransmission is in flight while it still waits in the pacer and
+    // for a dedup window after it was queued. Queueing a second copy behind
+    // a slow pacer would only grow the backlog every frame waits behind.
+    if (queued_retx_.contains(seq)) continue;
     const auto recent = recent_retx_.find(seq);
     if (recent != recent_retx_.end() &&
         now - recent->second < kRetxDedupWindow) {
-      continue;  // retransmission already in flight
+      continue;
     }
     if (auto packet = sent_cache_.lookup(seq)) {
       packet->is_retransmission = true;
       recent_retx_[seq] = now;
+      queued_retx_.insert(seq);
       pacer_->enqueue_front(*packet);
     }
   }

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "poi360/baseline/conduit.h"
@@ -174,6 +175,9 @@ class Session {
   roi::RoiPredictor roi_predictor_;
   std::unordered_map<std::int64_t, video::EncodedFrame> in_flight_;
   std::unordered_map<std::int64_t, SimTime> recent_retx_;
+  // Seqs whose retransmission waits in the pacer. A PLI purge leaves its
+  // frame's seqs here: the receiver has given up on that frame.
+  std::unordered_set<std::int64_t> queued_retx_;
 
   // Network. Every link is a ChaosLink; with the default all-zero fault
   // profile each one degenerates draw-for-draw into the plain DelayLink.

@@ -23,6 +23,13 @@ constexpr RssAnchor kAnchors[] = {
 
 }  // namespace
 
+UplinkChannel::OuStep UplinkChannel::OuStep::over(double dt_s, double tau_s,
+                                                  double stddev) {
+  if (tau_s <= 0.0) return {};
+  const double decay = std::exp(-dt_s / tau_s);
+  return {decay, stddev * std::sqrt(1.0 - decay * decay)};
+}
+
 Bitrate capacity_for_rss(double rss_dbm) {
   constexpr std::size_t n = std::size(kAnchors);
   if (rss_dbm <= kAnchors[0].rss_dbm) return mbps(kAnchors[0].capacity_mbps);
@@ -79,20 +86,22 @@ Bitrate UplinkChannel::advance(SimTime now) {
       last_advance_ < 0 ? 1e-3 : to_seconds(now - last_advance_);
   last_advance_ = now;
 
-  // Ornstein-Uhlenbeck steps for cell load and log-fading. The abstract
+  // Exact Ornstein-Uhlenbeck transitions for cell load and log-fading, so
+  // the stationary mean and std do not depend on the step size. The abstract
   // load walk is skipped when the explicit multi-user cell is active.
+  if (dt_s != step_dt_s_) {
+    step_dt_s_ = dt_s;
+    load_step_ = OuStep::over(dt_s, config_.load_tau_s, config_.load_std);
+    fading_step_ =
+        OuStep::over(dt_s, fading_tau_eff_s_, config_.fading_std);
+  }
   if (!cell_ && config_.load_tau_s > 0.0 && config_.load_std > 0.0) {
-    const double a = dt_s / config_.load_tau_s;
-    load_ += a * (config_.mean_cell_load - load_) +
-             config_.load_std * std::sqrt(2.0 * a) * rng_.normal(0.0, 1.0);
-    load_ = std::clamp(load_, 0.0, 0.95);
+    load_ = std::clamp(load_step_.apply(load_ - config_.mean_cell_load, rng_) +
+                           config_.mean_cell_load,
+                       0.0, 0.95);
   }
   if (fading_tau_eff_s_ > 0.0 && config_.fading_std > 0.0) {
-    const double a = dt_s / fading_tau_eff_s_;
-    log_fading_ += a * (0.0 - log_fading_) +
-                   config_.fading_std * std::sqrt(2.0 * a) *
-                       rng_.normal(0.0, 1.0);
-    log_fading_ = std::clamp(log_fading_, -2.0, 1.0);
+    log_fading_ = std::clamp(fading_step_.apply(log_fading_, rng_), -2.0, 1.0);
   }
 
   // Outage process (handover gaps / deep fades while driving).

@@ -66,11 +66,18 @@ struct ChannelConfig {
 /// points are reproduced (-73 dBm saturates around 5.5 Mbps, Fig. 5).
 Bitrate capacity_for_rss(double rss_dbm);
 
-/// Per-subframe uplink channel process.
+/// Uplink channel process, stepped at the uplink's grant cadence.
 ///
-/// `advance(now)` must be called once per 1 ms subframe, in order; it steps
-/// the load/fading/outage processes and returns the cell capacity (bits per
-/// second) this UE could be granted at most during that subframe.
+/// `advance(now)` must be called with nondecreasing times (the LTE uplink
+/// calls it once per grant, every `grant_period` subframes); it steps the
+/// load/fading/outage processes to `now` and returns the cell capacity (bits
+/// per second) this UE could be granted at most at that instant.
+///
+/// Load and log-fading are Ornstein-Uhlenbeck processes stepped by their
+/// exact transition over the elapsed Δt,
+///   x ← μ + (x − μ)·e^{−Δt/τ} + σ·√(1 − e^{−2Δt/τ})·N(0, 1),
+/// so their stationary mean μ and std σ are the configured ones whatever the
+/// step size. The decay and noise scale are cached for the last Δt.
 class UplinkChannel {
  public:
   UplinkChannel(ChannelConfig config, std::uint64_t seed);
@@ -81,6 +88,7 @@ class UplinkChannel {
   Bitrate current_capacity() const { return current_capacity_; }
   bool in_outage() const { return in_outage_; }
   double current_load() const { return load_; }
+  double current_log_fading() const { return log_fading_; }
   /// Present only when `explicit_users >= 0`.
   const std::optional<MultiUserCell>& multi_user_cell() const {
     return cell_;
@@ -89,6 +97,16 @@ class UplinkChannel {
   const ChannelConfig& config() const { return config_; }
 
  private:
+  /// One exact OU transition over a fixed Δt, for a zero-mean state.
+  struct OuStep {
+    double decay = 1.0;  // e^{-Δt/τ}
+    double scale = 0.0;  // σ·√(1 − e^{−2Δt/τ})
+    static OuStep over(double dt_s, double tau_s, double stddev);
+    double apply(double x, Rng& rng) const {
+      return x * decay + scale * rng.normal(0.0, 1.0);
+    }
+  };
+
   void schedule_next_outage(SimTime now);
 
   ChannelConfig config_;
@@ -99,6 +117,9 @@ class UplinkChannel {
   double load_;         // OU state
   double log_fading_ = 0.0;  // OU state in log domain
   double fading_tau_eff_s_;
+  double step_dt_s_ = -1.0;  // Δt the cached OU steps were built for
+  OuStep load_step_;
+  OuStep fading_step_;
 
   bool in_outage_ = false;
   SimTime outage_until_ = 0;

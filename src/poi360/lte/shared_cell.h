@@ -32,7 +32,7 @@ namespace poi360::lte {
 /// lookups (order-independent across UEs); a query past the frontier extends
 /// the timeline, drawing from the RNG exactly as MultiUserCell would have.
 ///
-/// Demand discipline: UEs report their live uplink backlog every subframe,
+/// Demand discipline: UEs report their live uplink backlog every grant,
 /// but shares are computed against the snapshot frozen by the latest
 /// `commit_demand()` (the fleet driver commits at quantum boundaries, when
 /// every session sits at the same master time). Within a quantum each UE's
@@ -59,7 +59,7 @@ class SharedCell {
   int registered_ues() const { return static_cast<int>(ues_.size()); }
 
   /// Updates `ue`'s live backlog (bytes; > 0 means backlogged). Cheap —
-  /// called once per subframe by attached uplinks. Takes effect at the next
+  /// called once per grant by attached uplinks. Takes effect at the next
   /// `commit_demand()`.
   void report_demand(int ue, std::int64_t backlog_bytes);
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <stdexcept>
 #include <utility>
 
 #include "poi360/common/ring_buffer.h"
@@ -27,11 +28,13 @@ struct UplinkConfig {
   double grant_bps_per_byte = 540.0;
 
   /// Buffer-status-report latency: the grant at time t reflects the buffer
-  /// level at t - bsr_delay (SR/BSR + scheduling round trip).
+  /// level at t - bsr_delay (SR/BSR + scheduling round trip). Must be a
+  /// multiple of the grant interval (`grant_period · subframe`), because the
+  /// buffer is only sampled at grants; a zero delay reads the previous grant.
   SimDuration bsr_delay = msec(8);
 
-  /// Probability a subframe's transport block is not granted/decoded; the
-  /// HARQ retransmission shows up as the grant simply not draining bytes.
+  /// Probability a grant's transport block is not granted/decoded; the HARQ
+  /// retransmission shows up as the grant simply not draining bytes.
   double bler = 0.03;
 
   /// The PF scheduler time-multiplexes UEs: this UE receives a grant every
@@ -67,7 +70,7 @@ struct UplinkConfig {
 };
 
 /// The cellular uplink as seen from the device: a firmware (modem) buffer
-/// drained by per-subframe grants from the base station's proportional-fair
+/// drained by periodic grants from the base station's proportional-fair
 /// scheduler.
 ///
 /// This is the substrate both POI360 findings rest on: the service rate
@@ -75,15 +78,21 @@ struct UplinkConfig {
 /// no grants (the underutilization of §3.3) and a deep buffer earns nothing
 /// extra but queueing delay (the congestion FBCC detects).
 ///
+/// The uplink runs at grant cadence: one event every `grant_period`
+/// subframes steps the channel, the surge/famine telegraphs, the shared-cell
+/// share and the BSR history, then serves the period-sized grant. Between
+/// grants nothing observable changes (capacity and the BSR are read only at
+/// grants), so no per-subframe work is done.
+///
 /// `T` is the packet type (must expose an `std::int64_t bytes` member).
-/// Fully drained packets are handed to `sink` at the draining subframe; the
+/// Fully drained packets are handed to `sink` at the draining grant; the
 /// caller appends core-network delay behind it.
 template <typename T>
 class LteUplink {
  public:
   using Sink = std::function<void(T, SimTime)>;
   using DiagSink = std::function<void(const DiagReport&)>;
-  /// (time, buffer_bytes_before_grant, tbs_bytes) once per subframe.
+  /// (time, buffer_bytes_before_grant, tbs_bytes) once per grant.
   using SubframeProbe =
       std::function<void(SimTime, std::int64_t, std::int64_t)>;
 
@@ -91,20 +100,20 @@ class LteUplink {
             UplinkConfig config, std::uint64_t seed, Sink sink)
       : sim_(simulator),
         config_(config),
+        grant_interval_(std::max(1, config.grant_period) * config.subframe),
         channel_(channel_config, seed),
         rng_(Rng(seed).fork(0x1f7)),
         sink_(std::move(sink)),
-        bsr_history_(static_cast<std::size_t>(
-            std::max<SimDuration>(1, config.bsr_delay / config.subframe))) {}
+        bsr_history_(bsr_slots(config_.bsr_delay, grant_interval_)) {}
 
-  /// Begins the subframe and diagnostic schedules. Call once.
+  /// Begins the grant and diagnostic schedules. Call once.
   void start() {
     next_surge_at_ = sim_.now() + sec_f(rng_.exponential(to_seconds(
                                        config_.surge_mean_interval)));
     next_famine_at_ = sim_.now() + sec_f(rng_.exponential(to_seconds(
                                         config_.famine_mean_interval)));
-    sim_.schedule_periodic(sim_.now() + config_.subframe, config_.subframe,
-                           [this]() { on_subframe(); });
+    sim_.schedule_periodic(sim_.now() + grant_interval_, grant_interval_,
+                           [this]() { on_grant(); });
     last_diag_time_ = sim_.now();
     sim_.schedule_periodic(sim_.now() + config_.diag_interval,
                            config_.diag_interval, [this]() { on_diag(); });
@@ -159,7 +168,7 @@ class LteUplink {
   void set_diag_sink(DiagSink sink) { diag_sink_ = std::move(sink); }
   void set_subframe_probe(SubframeProbe probe) { probe_ = std::move(probe); }
 
-  /// Attaches this UE to a shared cell: each subframe it reports its
+  /// Attaches this UE to a shared cell: each grant it reports its
   /// firmware-buffer backlog as demand and the channel capacity is scaled
   /// by the cell's proportional-fair share for this UE. Unattached (the
   /// default) the private channel model owns the competition and nothing
@@ -174,7 +183,20 @@ class LteUplink {
   const UplinkConfig& config() const { return config_; }
 
  private:
-  void on_subframe() {
+  /// BSR history length in grants; rejects a delay the grant cadence
+  /// cannot represent exactly.
+  static std::size_t bsr_slots(SimDuration bsr_delay,
+                               SimDuration grant_interval) {
+    if (bsr_delay < 0 || bsr_delay % grant_interval != 0) {
+      throw std::invalid_argument(
+          "UplinkConfig::bsr_delay must be a non-negative multiple of "
+          "grant_period * subframe");
+    }
+    return static_cast<std::size_t>(
+        std::max<SimDuration>(1, bsr_delay / grant_interval));
+  }
+
+  void on_grant() {
     const SimTime now = sim_.now();
     Bitrate capacity = channel_.advance(now);
     if (cell_.attached()) {
@@ -227,11 +249,9 @@ class LteUplink {
       }
     }
 
-    // Time-multiplexed scheduling: one grant per period, period-sized.
-    ++subframe_index_;
-    const int period = std::max(1, config_.grant_period);
+    // Time-multiplexed scheduling: one period-sized grant per interval.
     const std::int64_t before = buffer_bytes_;
-    if (subframe_index_ % period != 0 || now < detached_until_) {
+    if (now < detached_until_) {
       if (probe_) probe_(now, before, 0);
       return;
     }
@@ -251,11 +271,11 @@ class LteUplink {
     }
     const double grant_bps = std::min(cap, k * static_cast<double>(reported));
     const std::int64_t grant_bytes = static_cast<std::int64_t>(
-        grant_bps * to_seconds(config_.subframe) / 8.0 * period);
+        grant_bps * to_seconds(grant_interval_) / 8.0);
 
     std::int64_t tbs = quantizer_.quantize(grant_bytes);
 
-    // HARQ: a failed transport block drains nothing this subframe.
+    // HARQ: a failed transport block drains nothing this grant.
     if (tbs > 0 && rng_.bernoulli(config_.bler)) tbs = 0;
 
     std::int64_t budget = std::min(tbs, buffer_bytes_);
@@ -297,6 +317,7 @@ class LteUplink {
 
   sim::Simulator& sim_;
   UplinkConfig config_;
+  SimDuration grant_interval_;
   UplinkChannel channel_;
   CellHandle cell_;
   Rng rng_;
@@ -309,8 +330,7 @@ class LteUplink {
   std::int64_t buffer_bytes_ = 0;
   std::int64_t dropped_ = 0;
 
-  RingBuffer<std::int64_t> bsr_history_;
-  std::int64_t subframe_index_ = 0;
+  RingBuffer<std::int64_t> bsr_history_;  // buffer level at past grants
   bool surging_ = false;
   SimTime surge_until_ = 0;
   SimTime next_surge_at_ = 0;

@@ -100,8 +100,8 @@ void RtpReceiver::on_packet(const RtpPacket& packet, SimTime arrival) {
   }
 
   ++interval_received_;
+  arrivals_.emplace_back(arrival, total_bytes_);
   total_bytes_ += packet.bytes;
-  arrivals_.emplace_back(arrival, packet.bytes);
   while (!arrivals_.empty() && arrivals_.front().first < arrival - sec(2)) {
     arrivals_.pop_front();
   }
@@ -287,12 +287,10 @@ Bitrate RtpReceiver::incoming_rate(SimDuration window) const {
   // start.
   if (arrivals_.back().first - arrivals_.front().first < window) return 0.0;
   const SimTime cutoff = arrivals_.back().first - window;
-  std::int64_t bytes = 0;
-  for (auto it = arrivals_.rbegin(); it != arrivals_.rend(); ++it) {
-    if (it->first < cutoff) break;
-    bytes += it->second;
-  }
-  return rate_of(bytes, window);
+  const auto first = std::partition_point(
+      arrivals_.begin(), arrivals_.end(),
+      [cutoff](const auto& a) { return a.first < cutoff; });
+  return rate_of(total_bytes_ - first->second, window);
 }
 
 }  // namespace poi360::rtp

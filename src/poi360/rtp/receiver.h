@@ -173,7 +173,9 @@ class RtpReceiver {
   std::int64_t interval_received_ = 0;
   std::int64_t interval_lost_ = 0;
 
-  // Trailing arrival log for rate estimation.
+  // Trailing arrival log for rate estimation: (arrival time, media bytes
+  // received before this packet). Arrival times are nondecreasing, so the
+  // bytes inside any trailing window are one binary search away.
   std::deque<std::pair<SimTime, std::int64_t>> arrivals_;
 
   std::int64_t total_bytes_ = 0;

@@ -8,7 +8,7 @@ AdmissionController::AdmissionController(Config config, std::uint64_t seed)
 Bitrate AdmissionController::headroom(SimTime now) {
   if (shared_cell_) {
     // The live registration already accounts for every admitted session's
-    // demand (their uplinks report backlog each subframe), so the marginal
+    // demand (their uplinks report backlog each grant), so the marginal
     // share prices the arrival directly — no static reservation to subtract.
     return config_.cell_capacity * shared_cell_->prospective_share(now) *
            config_.headroom_fraction;

@@ -10,8 +10,8 @@ namespace poi360::sim {
 /// Move-only type-erased `void()` callable with small-buffer optimization —
 /// the event engine's payload type.
 ///
-/// A session schedules millions of events (the 1 ms subframe tick alone is
-/// 300k firings in a 5-minute run), and with `std::function` every capture
+/// A session schedules millions of events (the 4 ms LTE grant tick alone is
+/// 75k firings in a 5-minute run), and with `std::function` every capture
 /// beyond libstdc++'s 16-byte SBO — an RTP packet riding a DelayLink, a
 /// completed frame headed for display — is a heap allocation on the hot
 /// path. The inline buffer here is sized so that every per-packet and

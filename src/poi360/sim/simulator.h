@@ -26,7 +26,7 @@ namespace poi360::sim {
 ///    allocator, and keeping the callable out of the priority queue keeps
 ///    sift operations cheap;
 ///  * periodic timers — the fixed-cadence streams that dominate a session
-///    (the 1 ms subframe tick, pacer ticks, diag reports, frame capture) —
+///    (the LTE grant tick, pacer ticks, diag reports, frame capture) —
 ///    live in a dedicated lane: each firing advances the timer in place,
 ///    so after setup a periodic stream never touches the heap *or* the
 ///    priority queue.

@@ -235,6 +235,36 @@ TEST(ChaosTransport, WirelinePathTakesChaosToo) {
   EXPECT_GT(m.displayed_frames(), 60);
 }
 
+TEST(ChaosTransport, NackedPacketsQueueForRetransmissionOnce) {
+  // After a blackout the receiver re-NACKs every missing packet on its
+  // backoff schedule while GCC has cut the pacer to a crawl. A packet whose
+  // retransmission still waits in the pacer must not be queued again, so
+  // the app backlog stays within one copy of every lost packet plus the
+  // encoder's own backlog allowance.
+  SessionConfig config = presets::wireline();
+  config.duration = sec(12);
+  config.seed = 5;
+  config.media_chaos = burst_loss_profile();
+  config.receiver = bounded_receiver();
+
+  Session session(config);
+  session.run();
+  const auto& m = session.metrics();
+  std::int64_t peak_backlog = 0;
+  Bitrate peak_rate = 0.0;
+  for (const auto& r : m.rate_samples()) {
+    peak_backlog = std::max(peak_backlog, r.app_buffer_bytes);
+    peak_rate = std::max(peak_rate, r.video_rate);
+  }
+  const std::int64_t mtu = 1200;
+  const std::int64_t lost_copies =
+      session.observers().media_chaos->dropped() * mtu;
+  const std::int64_t fresh_media =
+      bytes_at_rate(peak_rate, config.max_app_backlog) + 8 * mtu;
+  EXPECT_GT(m.transport_robustness().nack_give_ups, 0);
+  EXPECT_LE(peak_backlog, lost_copies + fresh_media);
+}
+
 TEST(ChaosTransport, RandomizedProfilesNeverWedgeTheSession) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed * 104729);

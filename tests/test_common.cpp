@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 
 #include "poi360/common/ring_buffer.h"
 #include "poi360/common/rng.h"
@@ -70,10 +73,12 @@ TEST(Rng, UniformBounds) {
 
 TEST(Rng, BernoulliEdgeCases) {
   Rng r(3);
+  const std::mt19937_64 before = r.engine();
   EXPECT_FALSE(r.bernoulli(0.0));
   EXPECT_TRUE(r.bernoulli(1.0));
   EXPECT_FALSE(r.bernoulli(-0.5));
   EXPECT_TRUE(r.bernoulli(1.5));
+  EXPECT_EQ(r.engine(), before);  // the edges consume no draw
 }
 
 TEST(Rng, NormalMoments) {
@@ -89,6 +94,117 @@ TEST(Rng, ExponentialMean) {
   RunningStats s;
   for (int i = 0; i < 20000; ++i) s.add(r.exponential(3.0));
   EXPECT_NEAR(s.mean(), 3.0, 0.15);
+  EXPECT_NEAR(s.variance(), 9.0, 0.9);
+}
+
+TEST(Rng, EngineIsTheStandardMt19937_64) {
+  // The standard fixes mt19937_64's 10000th output for the default seed;
+  // every stream below is a pure function of this engine.
+  Rng r(std::mt19937_64::default_seed);
+  r.engine().discard(9999);
+  EXPECT_EQ(r.engine()(), 9981545732273789042ull);
+}
+
+// First draws of each distribution for seed 42. The algorithms are owned by
+// Rng, so these hold on every standard library; uniform draws are exact,
+// normal/exponential go through libm log and are compared to 4 ulps.
+TEST(Rng, PortableGoldenDraws) {
+  {
+    Rng r(42);
+    EXPECT_EQ(r.uniform(0.0, 1.0), 0x1.82a3befaddcbcp-1);
+    EXPECT_EQ(r.uniform(0.0, 1.0), 0x1.472f1f73724ap-1);
+    EXPECT_EQ(r.uniform(0.0, 1.0), 0x1.81192cfe1cbcfp-1);
+  }
+  {
+    Rng r(42);
+    EXPECT_EQ(r.uniform_int(1, 6), 1);
+    EXPECT_EQ(r.uniform_int(1, 6), 3);
+    EXPECT_EQ(r.uniform_int(1, 6), 5);
+  }
+  {
+    Rng r(42);
+    EXPECT_DOUBLE_EQ(r.normal(0.0, 1.0), 1.2938204232729367);
+    EXPECT_DOUBLE_EQ(r.normal(0.0, 1.0), 0.70498826642085988);
+    EXPECT_DOUBLE_EQ(r.normal(0.0, 1.0), 0.39797739618378869);
+  }
+  {
+    Rng r(42);
+    EXPECT_DOUBLE_EQ(r.exponential(1.0), 1.4071320984121438);
+    EXPECT_DOUBLE_EQ(r.exponential(1.0), 1.0189642880172274);
+    EXPECT_DOUBLE_EQ(r.exponential(1.0), 1.3949121911687365);
+  }
+  {
+    Rng r(42);
+    EXPECT_FALSE(r.bernoulli(0.7));
+    EXPECT_TRUE(r.bernoulli(0.7));
+    EXPECT_FALSE(r.bernoulli(0.7));
+  }
+}
+
+TEST(Rng, UniformAndBernoulliMoments) {
+  Rng r(5);
+  RunningStats s;
+  int hits = 0;
+  for (int i = 0; i < 50000; ++i) {
+    s.add(r.uniform(0.0, 1.0));
+    if (r.bernoulli(0.3)) ++hits;
+  }
+  EXPECT_NEAR(s.mean(), 0.5, 0.01);
+  EXPECT_NEAR(s.variance(), 1.0 / 12.0, 0.003);
+  EXPECT_NEAR(hits / 50000.0, 0.3, 0.01);
+}
+
+TEST(Rng, UniformIntCoversRangeUnbiased) {
+  Rng r(17);
+  int counts[6] = {};
+  for (int i = 0; i < 60000; ++i) {
+    const std::int64_t v = r.uniform_int(-2, 3);
+    ASSERT_GE(v, -2);
+    ASSERT_LE(v, 3);
+    ++counts[v + 2];
+  }
+  for (int c : counts) EXPECT_NEAR(c, 10000, 400);
+  EXPECT_EQ(r.uniform_int(4, 4), 4);
+  // The full 64-bit span is one raw engine draw.
+  Rng a(1), b(1);
+  EXPECT_EQ(static_cast<std::uint64_t>(
+                a.uniform_int(std::numeric_limits<std::int64_t>::min(),
+                              std::numeric_limits<std::int64_t>::max())),
+            b.engine()());
+}
+
+TEST(Rng, NormalKeepsItsSpareDeviate) {
+  Rng r(9);
+  r.normal(0.0, 1.0);
+  const std::mt19937_64 before = r.engine();
+  r.normal(0.0, 1.0);  // the spare: no engine draw
+  EXPECT_EQ(r.engine(), before);
+  r.normal(0.0, 1.0);  // a fresh pair
+  EXPECT_NE(r.engine(), before);
+
+  // The spare is a standard deviate, scaled by the call that returns it.
+  Rng x(9), y(9);
+  x.normal(0.0, 1.0);
+  y.normal(0.0, 1.0);
+  EXPECT_DOUBLE_EQ(3.0 + 2.0 * x.normal(0.0, 1.0), y.normal(3.0, 2.0));
+}
+
+TEST(Rng, ForkIsUnaffectedByAPendingSpare) {
+  Rng with_spare(9);
+  with_spare.normal(0.0, 1.0);
+  Rng reference(9);
+  reference.normal(0.0, 1.0);
+  const double spare = reference.normal(0.0, 1.0);
+  Rng no_spare(0);
+  no_spare.engine() = with_spare.engine();
+
+  Rng fa = with_spare.fork(3);
+  Rng fb = no_spare.fork(3);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(fa.normal(0.0, 1.0), fb.normal(0.0, 1.0));
+  }
+  // The parent still hands out its spare after forking.
+  EXPECT_EQ(with_spare.normal(0.0, 1.0), spare);
 }
 
 TEST(RingBuffer, FifoOverwrite) {

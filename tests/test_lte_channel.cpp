@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
+#include "poi360/common/rng.h"
 #include "poi360/common/stats.h"
 #include "poi360/lte/channel.h"
 #include "poi360/lte/tbs.h"
@@ -138,6 +143,111 @@ TEST(Channel, CapacityNeverNegative) {
   for (int i = 1; i <= 120'000; ++i) {
     ASSERT_GE(ch.advance(msec(i)), 0.0);
   }
+}
+
+// Stationary statistics of one channel run, sampled every `step`.
+struct ChannelMoments {
+  RunningStats load;
+  RunningStats log_fading;
+  double outage_fraction = 0.0;
+};
+
+ChannelMoments exact_moments(const ChannelConfig& config, SimDuration step,
+                             SimDuration duration, std::uint64_t seed) {
+  UplinkChannel ch(config, seed);
+  ChannelMoments m;
+  std::int64_t samples = 0;
+  std::int64_t outage = 0;
+  for (SimTime t = step; t <= duration; t += step) {
+    ch.advance(t);
+    m.load.add(ch.current_load());
+    m.log_fading.add(ch.current_log_fading());
+    ++samples;
+    if (ch.in_outage()) ++outage;
+  }
+  m.outage_fraction = static_cast<double>(outage) / samples;
+  return m;
+}
+
+// Reference: the Euler-Maruyama discretisation stepped every 1 ms, with the
+// channel's clamps and outage telegraph (`outage_per_min` must be > 0). At a
+// 1 ms step the Euler bias is far below the tolerances.
+ChannelMoments euler_moments(const ChannelConfig& config,
+                             SimDuration duration, std::uint64_t seed) {
+  Rng rng(seed);
+  const double dt = 1e-3;
+  const double tau_f = config.fading_tau_s / (1.0 + config.speed_mph / 6.0);
+  const double mean_gap_s = 60.0 / config.outage_per_min;
+  double load = config.mean_cell_load;
+  double fading = 0.0;
+  bool in_outage = false;
+  SimTime outage_until = 0;
+  SimTime next_outage = sec_f(rng.exponential(mean_gap_s));
+  std::int64_t samples = 0;
+  std::int64_t outage = 0;
+  ChannelMoments m;
+  for (SimTime t = msec(1); t <= duration; t += msec(1)) {
+    const double a = dt / config.load_tau_s;
+    load += a * (config.mean_cell_load - load) +
+            config.load_std * std::sqrt(2.0 * a) * rng.normal(0.0, 1.0);
+    load = std::clamp(load, 0.0, 0.95);
+    const double b = dt / tau_f;
+    fading += -b * fading +
+              config.fading_std * std::sqrt(2.0 * b) * rng.normal(0.0, 1.0);
+    fading = std::clamp(fading, -2.0, 1.0);
+    if (in_outage && t >= outage_until) {
+      in_outage = false;
+      next_outage = t + sec_f(rng.exponential(mean_gap_s));
+    }
+    if (!in_outage && t >= next_outage) {
+      in_outage = true;
+      outage_until =
+          t + std::max<SimDuration>(
+                  msec(50), sec_f(rng.exponential(
+                                to_seconds(config.outage_mean_duration))));
+    }
+    m.load.add(load);
+    m.log_fading.add(fading);
+    ++samples;
+    if (in_outage) ++outage;
+  }
+  m.outage_fraction = static_cast<double>(outage) / samples;
+  return m;
+}
+
+TEST(Channel, ExactOuAtGrantCadenceMatchesEulerReference) {
+  ChannelConfig config;
+  config.outage_per_min = 20.0;
+  config.outage_mean_duration = msec(300);
+  const SimDuration duration = sec(4000);
+  const ChannelMoments exact = exact_moments(config, msec(4), duration, 31);
+  const ChannelMoments euler = euler_moments(config, duration, 37);
+  EXPECT_NEAR(exact.load.mean(), euler.load.mean(), 0.02);
+  EXPECT_NEAR(exact.load.stddev(), euler.load.stddev(),
+              0.12 * euler.load.stddev());
+  EXPECT_NEAR(exact.log_fading.mean(), euler.log_fading.mean(), 0.05);
+  EXPECT_NEAR(exact.log_fading.stddev(), euler.log_fading.stddev(),
+              0.08 * euler.log_fading.stddev());
+  // Both sit on the configured stationary law.
+  EXPECT_NEAR(exact.log_fading.stddev(), config.fading_std,
+              0.08 * config.fading_std);
+  EXPECT_GT(euler.outage_fraction, 0.05);
+  EXPECT_NEAR(exact.outage_fraction, euler.outage_fraction,
+              0.15 * euler.outage_fraction);
+}
+
+TEST(Channel, ExactOuStatisticsIndependentOfStepSize) {
+  ChannelConfig config;
+  config.speed_mph = 50.0;  // τ ≈ 160 ms: Euler at 40 ms overstates σ by 7%
+  config.outage_per_min = 0.0;
+  const SimDuration duration = sec(2000);
+  const ChannelMoments fine = exact_moments(config, msec(1), duration, 41);
+  const ChannelMoments coarse = exact_moments(config, msec(40), duration, 43);
+  EXPECT_NEAR(coarse.log_fading.stddev(), fine.log_fading.stddev(),
+              0.05 * fine.log_fading.stddev());
+  EXPECT_NEAR(coarse.log_fading.stddev(), config.fading_std,
+              0.05 * config.fading_std);
+  EXPECT_NEAR(coarse.load.mean(), fine.load.mean(), 0.02);
 }
 
 TEST(Tbs, QuantizerBehaviour) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "poi360/common/stats.h"
@@ -134,9 +136,45 @@ TEST(LteUplink, BsrDelayPostponesFirstGrant) {
   uplink.start();
   s.schedule_at(msec(1), [&]() { uplink.push({1, 50'000}); });
   s.run_until(sec(1));
-  // The scheduler cannot react before the BSR round trip (8 ms).
+  // The scheduler cannot react before the BSR round trip (8 ms): the grant
+  // at 4 ms samples the buffer, and the grant 8 ms later serves it.
   ASSERT_GT(first_tbs_at, 0);
-  EXPECT_GE(first_tbs_at, msec(8));
+  EXPECT_EQ(first_tbs_at, msec(12));
+}
+
+TEST(LteUplink, ProbeFiresOncePerGrant) {
+  sim::Simulator s;
+  LteUplink<Blob> uplink(s, quiet_channel(), quiet_uplink(), 1,
+                         [](Blob, SimTime) {});
+  std::vector<SimTime> grants;
+  uplink.set_subframe_probe(
+      [&](SimTime t, std::int64_t, std::int64_t) { grants.push_back(t); });
+  uplink.start();
+  s.run_until(sec(3));
+  const auto in_second = std::count_if(
+      grants.begin(), grants.end(),
+      [](SimTime t) { return t > sec(1) && t <= sec(2); });
+  EXPECT_EQ(in_second, 250);  // grant_period 4 x 1 ms subframes
+  for (std::size_t i = 1; i < grants.size(); ++i) {
+    ASSERT_EQ(grants[i] - grants[i - 1], msec(4));
+  }
+}
+
+TEST(LteUplink, RejectsBsrDelayOffTheGrantCadence) {
+  sim::Simulator s;
+  auto make = [&](int period, SimDuration bsr_delay) {
+    auto config = quiet_uplink();
+    config.grant_period = period;
+    config.bsr_delay = bsr_delay;
+    LteUplink<Blob> uplink(s, quiet_channel(), config, 1,
+                           [](Blob, SimTime) {});
+  };
+  EXPECT_THROW(make(4, msec(6)), std::invalid_argument);
+  EXPECT_THROW(make(3, msec(8)), std::invalid_argument);
+  EXPECT_THROW(make(4, -msec(4)), std::invalid_argument);
+  EXPECT_NO_THROW(make(4, msec(8)));
+  EXPECT_NO_THROW(make(1, msec(3)));
+  EXPECT_NO_THROW(make(8, msec(16)));
 }
 
 TEST(LteUplink, BlerSlowsDraining) {
@@ -218,8 +256,12 @@ TEST(LteUplink, GrantPeriodBatchesService) {
     poi360::RunningStats buffer;
     LteUplink<Blob> uplink(s, quiet_channel(), config, 1,
                            [&](Blob b, SimTime) { delivered += b.bytes; });
-    uplink.set_subframe_probe([&](SimTime t, std::int64_t b, std::int64_t) {
-      if (t > sec(2)) buffer.add(static_cast<double>(b));
+    // Sample every subframe: the probe fires only at grants, which would
+    // see a long period's buffer at its peaks only.
+    s.schedule_periodic(msec(1), msec(1), [&]() {
+      if (s.now() > sec(2)) {
+        buffer.add(static_cast<double>(uplink.buffer_bytes()));
+      }
     });
     uplink.start();
     s.schedule_periodic(msec(5), msec(5), [&]() {

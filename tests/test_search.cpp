@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -459,6 +460,8 @@ TEST(SearchGate, MiniCampaignIsByteIdenticalAcrossWorkerCounts) {
 TEST(SearchGate, FreshCampaignCorpusReplaysWithinItsOwnEnvelopes) {
   CampaignConfig config = mini_config();
   config.corpus_dir = ::testing::TempDir() + "poi360_corpus_gate";
+  // Start empty: entries left by an earlier build would be replayed too.
+  std::filesystem::remove_all(config.corpus_dir);
   const CampaignResult result = run_campaign(config);
   ASSERT_FALSE(result.entries.empty());
   const std::vector<ReplayResult> replays =
