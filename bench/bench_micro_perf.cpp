@@ -23,6 +23,8 @@
 #include "poi360/obs/sampling.h"
 #include "poi360/obs/trace.h"
 #include "poi360/roi/head_motion.h"
+#include "poi360/rtp/receiver.h"
+#include "poi360/rtp/retx.h"
 #include "poi360/serve/fleet_driver.h"
 #include "poi360/sim/simulator.h"
 #include "poi360/video/encoder.h"
@@ -409,6 +411,64 @@ static void BM_LteUplinkSecond(benchmark::State& state) {
   benchmark::DoNotOptimize(drained);
 }
 BENCHMARK(BM_LteUplinkSecond);
+
+// One raw draw of the owned MT19937-64 engine under every Rng; its block
+// refill is amortized over the 312 draws of each block.
+static void BM_RngEngineDraw(benchmark::State& state) {
+  Rng rng(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.engine()());
+  }
+}
+BENCHMARK(BM_RngEngineDraw);
+
+// One sent packet recorded in a full 8192-entry retransmission history: the
+// oldest entry is overwritten and its index entry replaced. Every packet the
+// pacer releases pays this once.
+static void BM_SentPacketCacheInsert(benchmark::State& state) {
+  rtp::SentPacketCache cache;
+  rtp::RtpPacket packet;
+  packet.bytes = 1200;
+  for (int i = 0; i < 2 * 8192; ++i) {
+    cache.insert(packet);
+    ++packet.seq;
+  }
+  for (auto _ : state) {
+    cache.insert(packet);
+    ++packet.seq;
+  }
+  benchmark::DoNotOptimize(cache.lookup(packet.seq - 1));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SentPacketCacheInsert);
+
+// One 8-fragment frame through RtpReceiver::on_packet, in order and
+// loss-free: assembly open/close, staleness check, arrival log and the
+// completion callback.
+static void BM_ReceiverFrame(benchmark::State& state) {
+  sim::Simulator simulator;
+  std::int64_t completed = 0;
+  rtp::RtpReceiver receiver(
+      simulator,
+      [&completed](const rtp::RtpReceiver::CompletedFrame&) { ++completed; },
+      [](const std::vector<std::int64_t>&) {});
+  rtp::RtpPacket packet;
+  packet.fragments = 8;
+  packet.bytes = 1200;
+  SimTime arrival = 0;
+  for (auto _ : state) {
+    for (int f = 0; f < 8; ++f) {
+      packet.fragment = f;
+      arrival += 400;
+      receiver.on_packet(packet, arrival);
+      ++packet.seq;
+    }
+    ++packet.frame_id;
+  }
+  benchmark::DoNotOptimize(completed);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ReceiverFrame);
 
 // Entry point: google-benchmark's main plus an `--out-json <path>` alias for
 // `--benchmark_out=<path> --benchmark_out_format=json`, matching the flag

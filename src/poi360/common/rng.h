@@ -1,11 +1,87 @@
 #pragma once
 
+#include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <random>
 
 namespace poi360 {
+
+/// MT19937-64 with the C++ standard's seeding, recurrence and tempering, so
+/// its output is bit-identical to `std::mt19937_64` for every seed. The
+/// block refill selects the twist constant with a mask, `(0 - (y & 1)) & a`,
+/// instead of a conditional on the low bit, so the refill loop has no
+/// data-dependent branch.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr result_type default_seed = 5489u;
+
+  explicit Mt19937_64(result_type seed = default_seed) {
+    state_[0] = seed;
+    for (std::size_t i = 1; i < kN; ++i) {
+      const std::uint64_t prev = state_[i - 1];
+      state_[i] = 6364136223846793005ull * (prev ^ (prev >> 62)) + i;
+    }
+  }
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() {
+    return std::numeric_limits<result_type>::max();
+  }
+
+  result_type operator()() {
+    if (index_ >= kN) refill();
+    std::uint64_t y = state_[index_++];
+    y ^= (y >> 29) & 0x5555555555555555ull;
+    y ^= (y << 17) & 0x71D67FFFEDA60000ull;
+    y ^= (y << 37) & 0xFFF7EEE000000000ull;
+    y ^= y >> 43;
+    return y;
+  }
+
+  /// Advances the state as if `z` values had been drawn.
+  void discard(unsigned long long z) {
+    while (z > 0) {
+      if (index_ >= kN) refill();
+      const std::size_t step =
+          z < kN - index_ ? static_cast<std::size_t>(z) : kN - index_;
+      index_ += step;
+      z -= step;
+    }
+  }
+
+  friend bool operator==(const Mt19937_64&, const Mt19937_64&) = default;
+
+ private:
+  static constexpr std::size_t kN = 312;
+  static constexpr std::size_t kM = 156;
+  static constexpr std::uint64_t kMatrixA = 0xB5026F5AA96619E9ull;
+  static constexpr std::uint64_t kUpperMask = ~0ull << 31;
+  static constexpr std::uint64_t kLowerMask = ~kUpperMask;
+
+  static std::uint64_t twist(std::uint64_t upper, std::uint64_t lower,
+                             std::uint64_t far) {
+    const std::uint64_t y = (upper & kUpperMask) | (lower & kLowerMask);
+    return far ^ (y >> 1) ^ ((0 - (y & 1)) & kMatrixA);
+  }
+
+  void refill() {
+    std::size_t i = 0;
+    for (; i < kN - kM; ++i) {
+      state_[i] = twist(state_[i], state_[i + 1], state_[i + kM]);
+    }
+    for (; i < kN - 1; ++i) {
+      state_[i] = twist(state_[i], state_[i + 1], state_[i + kM - kN]);
+    }
+    state_[kN - 1] = twist(state_[kN - 1], state_[0], state_[kM - 1]);
+    index_ = 0;
+  }
+
+  std::array<std::uint64_t, kN> state_;
+  std::size_t index_ = kN;
+};
 
 /// Deterministic random source used across the simulator.
 ///
@@ -13,12 +89,13 @@ namespace poi360 {
 /// experiment run is exactly reproducible, and so that independent components
 /// can use decorrelated streams (see `fork`).
 ///
-/// The engine is `std::mt19937_64`, whose output sequence the C++ standard
-/// fixes bit for bit. The distributions are implemented here rather than
-/// taken from `<random>`, whose algorithms are implementation-defined, so a
-/// seed yields the same stream on every standard library. The remaining
-/// platform dependence is libm: `normal` and `exponential` call `log`/`log1p`,
-/// which are not required to be correctly rounded.
+/// The engine is `Mt19937_64` above, whose output sequence the C++ standard
+/// fixes bit for bit (as `std::mt19937_64`). The distributions are
+/// implemented here rather than taken from `<random>`, whose algorithms are
+/// implementation-defined, so a seed yields the same stream on every
+/// standard library. The remaining platform dependence is libm: `normal` and
+/// `exponential` call `log`/`log1p`, which are not required to be correctly
+/// rounded.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : engine_(seed) {}
@@ -87,7 +164,7 @@ class Rng {
     return Rng(x);
   }
 
-  std::mt19937_64& engine() { return engine_; }
+  Mt19937_64& engine() { return engine_; }
 
  private:
   /// Uniform double in [0, 1): the top 53 bits of one engine draw.
@@ -95,7 +172,7 @@ class Rng {
     return static_cast<double>(engine_() >> 11) * 0x1.0p-53;
   }
 
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
   double spare_ = 0.0;
   bool has_spare_ = false;
 };

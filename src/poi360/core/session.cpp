@@ -457,6 +457,10 @@ void Session::on_nack(const NackMsg& msg) {
   }
 
   const SimTime now = sim_.now();
+  // An entry as old as the dedup window can never suppress a copy again.
+  std::erase_if(recent_retx_, [now](const auto& entry) {
+    return now - entry.second >= kRetxDedupWindow;
+  });
   for (std::int64_t seq : msg.seqs) {
     // A retransmission is in flight while it still waits in the pacer and
     // for a dedup window after it was queued. Queueing a second copy behind

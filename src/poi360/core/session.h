@@ -117,6 +117,11 @@ class Session {
   };
   Observers observers() const;
 
+  /// Seqs the sender remembers as recently retransmitted (the NACK dedup
+  /// window). Expired entries are dropped on every NACK, so this stays
+  /// bounded by one window's retransmissions.
+  std::size_t retx_dedup_entries() const { return recent_retx_.size(); }
+
   /// Optional observer invoked on every rate-control telemetry sample
   /// (used by the rate_control_trace example).
   using TraceHook = std::function<void(const metrics::RateSample&)>;

@@ -17,7 +17,8 @@ RtpReceiver::RtpReceiver(sim::Simulator& simulator, Config config,
     : sim_(simulator),
       config_(config),
       frame_sink_(std::move(frame_sink)),
-      nack_sink_(std::move(nack_sink)) {}
+      nack_sink_(std::move(nack_sink)),
+      finished_(kFinishedHistory) {}
 
 RtpReceiver::RtpReceiver(sim::Simulator& simulator, FrameSink frame_sink,
                          NackSink nack_sink, SimDuration nack_retry)
@@ -84,13 +85,24 @@ void RtpReceiver::detect_gaps(std::int64_t seq, SimTime now) {
 }
 
 void RtpReceiver::mark_finished(std::int64_t frame_id) {
-  if (finished_.insert(frame_id).second) {
-    finished_order_.push_back(frame_id);
-    while (finished_order_.size() > kFinishedHistory) {
-      finished_.erase(finished_order_.front());
-      finished_order_.pop_front();
-    }
+  if (!finished_.contains(frame_id)) finished_.insert(frame_id);
+}
+
+std::size_t RtpReceiver::find_assembly(std::int64_t frame_id) const {
+  for (std::size_t i = 0; i < open_; ++i) {
+    if (frames_[i].frame_id == frame_id) return i;
   }
+  return frames_.size();
+}
+
+std::size_t RtpReceiver::open_assembly() {
+  if (open_ == frames_.size()) frames_.emplace_back();
+  return open_++;
+}
+
+void RtpReceiver::close_assembly(std::size_t index) {
+  --open_;
+  if (index != open_) std::swap(frames_[index], frames_[open_]);
 }
 
 void RtpReceiver::on_packet(const RtpPacket& packet, SimTime arrival) {
@@ -102,42 +114,45 @@ void RtpReceiver::on_packet(const RtpPacket& packet, SimTime arrival) {
   ++interval_received_;
   arrivals_.emplace_back(arrival, total_bytes_);
   total_bytes_ += packet.bytes;
-  while (!arrivals_.empty() && arrivals_.front().first < arrival - sec(2)) {
-    arrivals_.pop_front();
+  while (arrivals_[arrivals_head_].first < arrival - sec(2)) ++arrivals_head_;
+  if (2 * arrivals_head_ >= arrivals_.size()) {
+    // Drop the expired half in one move: amortized O(1) per packet.
+    arrivals_.erase(arrivals_.begin(),
+                    arrivals_.begin() + static_cast<std::ptrdiff_t>(
+                                            arrivals_head_));
+    arrivals_head_ = 0;
   }
 
   detect_gaps(packet.seq, arrival);
 
-  if (finished_.count(packet.frame_id)) {
+  if (finished_.contains(packet.frame_id)) {
     // Late duplicate of a frame already delivered or abandoned; opening a
     // fresh assembly for it would leak state that can never complete.
     ++recovery_.stale_packets;
     return;
   }
 
-  auto& a = frames_[packet.frame_id];
-  if (a.received.empty()) {
-    a.received.assign(static_cast<std::size_t>(packet.fragments), 0);
-    a.capture_time = packet.capture_time;
-    a.first_send_time = packet.send_time;
-    a.first_arrival = arrival;
+  std::size_t index = find_assembly(packet.frame_id);
+  if (index == frames_.size()) {
     if (trace_) {
       trace_->span_begin(
           arrival, "frame", "assemble", packet.frame_id,
           {{"fragments", static_cast<double>(packet.fragments)}});
     }
+    // Counting the frame about to open.
     recovery_.peak_assemblies =
-        std::max(recovery_.peak_assemblies, frames_.size());
-    if (frames_.size() > config_.max_assemblies) {
-      // Evict the stalest assembly (never the one just opened).
+        std::max(recovery_.peak_assemblies, open_ + 1);
+    if (open_ + 1 > config_.max_assemblies) {
+      // Evict the stalest assembly before opening the new one, so no
+      // reference into frames_ is held across the eviction.
       std::int64_t victim = packet.frame_id;
       SimTime oldest = arrival + 1;
-      for (const auto& [id, asm_] : frames_) {
-        if (id == packet.frame_id) continue;
-        if (asm_.first_arrival < oldest ||
-            (asm_.first_arrival == oldest && id < victim)) {
-          oldest = asm_.first_arrival;
-          victim = id;
+      for (std::size_t i = 0; i < open_; ++i) {
+        const Assembly& other = frames_[i];
+        if (other.first_arrival < oldest ||
+            (other.first_arrival == oldest && other.frame_id < victim)) {
+          oldest = other.first_arrival;
+          victim = other.frame_id;
         }
       }
       if (victim != packet.frame_id) {
@@ -156,7 +171,19 @@ void RtpReceiver::on_packet(const RtpPacket& packet, SimTime arrival) {
         }
       }
     }
+    index = open_assembly();
+    Assembly& fresh = frames_[index];
+    fresh.frame_id = packet.frame_id;
+    fresh.received.assign(static_cast<std::size_t>(packet.fragments), 0);
+    fresh.received_count = 0;
+    fresh.bytes = 0;
+    fresh.capture_time = packet.capture_time;
+    fresh.first_send_time = packet.send_time;
+    fresh.last_send_time = 0;
+    fresh.first_arrival = arrival;
+    fresh.had_loss = false;
   }
+  Assembly& a = frames_[index];
   const auto idx = static_cast<std::size_t>(packet.fragment);
   if (idx >= a.received.size() || a.received[idx]) {
     ++recovery_.duplicate_packets;
@@ -181,7 +208,7 @@ void RtpReceiver::on_packet(const RtpPacket& packet, SimTime arrival) {
         .fragments = static_cast<int>(a.received.size()),
         .had_loss = a.had_loss,
     };
-    frames_.erase(packet.frame_id);
+    close_assembly(index);
     mark_finished(packet.frame_id);
     ++frames_completed_;
     if (trace_) {
@@ -195,7 +222,7 @@ void RtpReceiver::on_packet(const RtpPacket& packet, SimTime arrival) {
 
 void RtpReceiver::evict_assembly(std::int64_t frame_id,
                                  std::vector<std::int64_t>& abandoned) {
-  frames_.erase(frame_id);
+  close_assembly(find_assembly(frame_id));
   mark_finished(frame_id);
   abandoned.push_back(frame_id);
   if (trace_) {
@@ -210,9 +237,9 @@ void RtpReceiver::evict_assembly(std::int64_t frame_id,
 void RtpReceiver::abandon_overdue(SimTime now) {
   if (config_.frame_deadline <= 0) return;
   std::vector<std::int64_t> overdue;
-  for (const auto& [id, a] : frames_) {
-    if (now - a.first_arrival >= config_.frame_deadline) {
-      overdue.push_back(id);
+  for (std::size_t i = 0; i < open_; ++i) {
+    if (now - frames_[i].first_arrival >= config_.frame_deadline) {
+      overdue.push_back(frames_[i].frame_id);
     }
   }
   if (overdue.empty()) return;
@@ -285,10 +312,12 @@ Bitrate RtpReceiver::incoming_rate(SimDuration window) const {
   // No estimate until a full window of history exists: a half-filled window
   // under-reads the rate, and the AIMD cap would slash the target at session
   // start.
-  if (arrivals_.back().first - arrivals_.front().first < window) return 0.0;
+  const auto live = arrivals_.begin() +
+                    static_cast<std::ptrdiff_t>(arrivals_head_);
+  if (arrivals_.back().first - live->first < window) return 0.0;
   const SimTime cutoff = arrivals_.back().first - window;
   const auto first = std::partition_point(
-      arrivals_.begin(), arrivals_.end(),
+      live, arrivals_.end(),
       [cutoff](const auto& a) { return a.first < cutoff; });
   return rate_of(total_bytes_ - first->second, window);
 }

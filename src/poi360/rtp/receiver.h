@@ -1,13 +1,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "poi360/common/recent_keys.h"
 #include "poi360/common/time.h"
 #include "poi360/common/units.h"
 #include "poi360/obs/trace.h"
@@ -117,7 +116,7 @@ class RtpReceiver {
   std::int64_t nacks_sent() const { return nacks_sent_; }
 
   const RecoveryStats& recovery_stats() const { return recovery_; }
-  std::size_t assemblies() const { return frames_.size(); }
+  std::size_t assemblies() const { return open_; }
   std::size_t outstanding_nacks() const { return nacks_.size(); }
   const Config& config() const { return config_; }
 
@@ -128,6 +127,7 @@ class RtpReceiver {
 
  private:
   struct Assembly {
+    std::int64_t frame_id = 0;
     std::vector<char> received;
     int received_count = 0;
     std::int64_t bytes = 0;
@@ -145,6 +145,9 @@ class RtpReceiver {
   };
 
   bool validate(const RtpPacket& packet);
+  std::size_t find_assembly(std::int64_t frame_id) const;
+  std::size_t open_assembly();
+  void close_assembly(std::size_t index);
   void detect_gaps(std::int64_t seq, SimTime now);
   void on_nack_retry();
   void abandon_overdue(SimTime now);
@@ -159,24 +162,29 @@ class RtpReceiver {
   NackSink nack_sink_;
   PliSink pli_sink_;
 
-  std::unordered_map<std::int64_t, Assembly> frames_;
+  // Open assemblies occupy [0, open_), in no particular order; the entries
+  // past open_ are closed ones kept so their `received` buffers are reused.
+  // Only a few frames are in flight at once, so lookup is a linear scan.
+  std::vector<Assembly> frames_;
+  std::size_t open_ = 0;
   std::int64_t next_expected_seq_ = 0;
   std::map<std::int64_t, NackState> nacks_;
 
   // Recently finished (completed or abandoned) frames: packets for these
   // are stale — without this a late duplicate would re-open a ghost
   // assembly that can never complete.
-  std::unordered_set<std::int64_t> finished_;
-  std::deque<std::int64_t> finished_order_;
+  RecentKeys finished_;
 
   // Interval loss accounting.
   std::int64_t interval_received_ = 0;
   std::int64_t interval_lost_ = 0;
 
   // Trailing arrival log for rate estimation: (arrival time, media bytes
-  // received before this packet). Arrival times are nondecreasing, so the
-  // bytes inside any trailing window are one binary search away.
-  std::deque<std::pair<SimTime, std::int64_t>> arrivals_;
+  // received before this packet), live from arrivals_head_ on. Arrival
+  // times are nondecreasing, so the bytes inside any trailing window are
+  // one binary search away.
+  std::vector<std::pair<SimTime, std::int64_t>> arrivals_;
+  std::size_t arrivals_head_ = 0;
 
   std::int64_t total_bytes_ = 0;
   std::int64_t frames_completed_ = 0;

@@ -1,48 +1,47 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
+#include "poi360/common/recent_keys.h"
 #include "poi360/rtp/packet.h"
 
 namespace poi360::rtp {
 
 /// Bounded history of sent packets, looked up by sequence number when a
-/// NACK asks for a retransmission.
+/// NACK asks for a retransmission. Holds the last `capacity` distinct seqs
+/// inserted, in contiguous storage that grows up to the capacity.
 class SentPacketCache {
  public:
-  explicit SentPacketCache(std::size_t capacity = 8192)
-      : capacity_(capacity) {}
+  explicit SentPacketCache(std::size_t capacity = 8192) : seqs_(capacity) {}
 
   void insert(const RtpPacket& packet) {
     // Re-inserting a seq (a retransmission passing the pacer again) only
-    // refreshes the payload: pushing `order_` twice would let the first
-    // eviction of that seq erase a map entry a later `order_` slot still
-    // references, silently shrinking the effective capacity.
-    const auto [it, inserted] = by_seq_.insert_or_assign(packet.seq, packet);
-    (void)it;
-    if (!inserted) return;
-    order_.push_back(packet.seq);
-    while (order_.size() > capacity_) {
-      by_seq_.erase(order_.front());
-      order_.pop_front();
+    // refreshes the payload in place; its age in the history is unchanged.
+    std::size_t slot = seqs_.find(packet.seq);
+    if (slot == RecentKeys::npos) {
+      slot = seqs_.insert(packet.seq);
+      if (slot == RecentKeys::npos) return;
+      if (slot == packets_.size()) {
+        packets_.push_back(packet);
+        return;
+      }
     }
+    packets_[slot] = packet;
   }
 
   std::optional<RtpPacket> lookup(std::int64_t seq) const {
-    const auto it = by_seq_.find(seq);
-    if (it == by_seq_.end()) return std::nullopt;
-    return it->second;
+    const std::size_t slot = seqs_.find(seq);
+    if (slot == RecentKeys::npos) return std::nullopt;
+    return packets_[slot];
   }
 
-  std::size_t size() const { return by_seq_.size(); }
+  std::size_t size() const { return seqs_.size(); }
 
  private:
-  std::size_t capacity_;
-  std::unordered_map<std::int64_t, RtpPacket> by_seq_;
-  std::deque<std::int64_t> order_;
+  RecentKeys seqs_;
+  std::vector<RtpPacket> packets_;  // by RecentKeys slot
 };
 
 }  // namespace poi360::rtp

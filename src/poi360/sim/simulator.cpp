@@ -25,48 +25,51 @@ void Simulator::schedule_at(SimTime t, Callback cb) {
 void Simulator::schedule_periodic(SimTime start, SimDuration period,
                                   Callback cb) {
   if (start < now_) start = now_;
-  periodics_.push_back(PeriodicTimer{start, next_seq_++, period,
-                                     std::move(cb)});
+  periodic_keys_.push_back(PeriodicKey{start, next_seq_++});
+  periodics_.push_back(PeriodicTimer{period, std::move(cb)});
+  if (periodic_keys_.back() < periodic_keys_[earliest_periodic_]) {
+    earliest_periodic_ = periodic_keys_.size() - 1;
+  }
+}
+
+// Sessions run a handful of timers, so a linear scan over the contiguous
+// keys beats maintaining a second heap.
+void Simulator::find_earliest_periodic() {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < periodic_keys_.size(); ++i) {
+    if (periodic_keys_[i] < periodic_keys_[best]) best = i;
+  }
+  earliest_periodic_ = best;
 }
 
 bool Simulator::fire_next(SimTime horizon) {
   // The earliest firing is the globally smallest (time, seq) across the
-  // one-shot heap and the periodic lane. Sessions run a handful of timers,
-  // so a linear scan beats maintaining a second heap.
+  // one-shot heap and the periodic lane.
   bool from_periodic = false;
-  std::size_t timer_index = 0;
   SimTime best_time = 0;
-  std::uint64_t best_seq = 0;
-  bool found = false;
-
-  if (!queue_.empty()) {
+  if (!periodic_keys_.empty()) {
+    const PeriodicKey& key = periodic_keys_[earliest_periodic_];
+    from_periodic = queue_.empty() ||
+                    key < PeriodicKey{queue_.top().time, queue_.top().seq};
+    best_time = from_periodic ? key.next : queue_.top().time;
+  } else if (!queue_.empty()) {
     best_time = queue_.top().time;
-    best_seq = queue_.top().seq;
-    found = true;
+  } else {
+    return false;
   }
-  for (std::size_t i = 0; i < periodics_.size(); ++i) {
-    const PeriodicTimer& timer = periodics_[i];
-    if (!found || timer.next < best_time ||
-        (timer.next == best_time && timer.seq < best_seq)) {
-      best_time = timer.next;
-      best_seq = timer.seq;
-      from_periodic = true;
-      timer_index = i;
-      found = true;
-    }
-  }
-  if (!found || best_time > horizon) return false;
+  if (best_time > horizon) return false;
 
   now_ = best_time;
   if (from_periodic) {
-    periodics_[timer_index].cb();
+    const std::size_t index = earliest_periodic_;
+    periodics_[index].cb();
     // Re-arm in place. The next firing draws its sequence number *after*
     // the callback ran, exactly as when each firing re-scheduled itself
     // through the queue: events the callback just scheduled at the same
     // future timestamp keep their FIFO slot ahead of the timer's next turn.
-    PeriodicTimer& timer = periodics_[timer_index];
-    timer.seq = next_seq_++;
-    timer.next = now_ + timer.period;
+    periodic_keys_[index] =
+        PeriodicKey{now_ + periodics_[index].period, next_seq_++};
+    find_earliest_periodic();
   } else {
     const Event ev = queue_.top();
     queue_.pop();

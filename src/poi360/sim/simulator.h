@@ -29,7 +29,9 @@ namespace poi360::sim {
 ///    (the LTE grant tick, pacer ticks, diag reports, frame capture) —
 ///    live in a dedicated lane: each firing advances the timer in place,
 ///    so after setup a periodic stream never touches the heap *or* the
-///    priority queue.
+///    priority queue. Their (next, seq) keys sit in one contiguous vector
+///    with the index of the earliest key cached; only a periodic firing or
+///    a new timer can move it, so one-shot firings skip the lane's scan.
 ///
 /// The FIFO contract is preserved exactly across both lanes: every firing
 /// (one-shot or periodic) carries a sequence number, a periodic timer's
@@ -64,7 +66,7 @@ class Simulator {
   bool step();
 
   std::size_t pending_events() const {
-    return queue_.size() + periodics_.size();
+    return queue_.size() + periodic_keys_.size();
   }
 
  private:
@@ -79,9 +81,14 @@ class Simulator {
       return a.seq > b.seq;
     }
   };
-  struct PeriodicTimer {
+  struct PeriodicKey {
     SimTime next;
     std::uint64_t seq;  // refreshed after every firing
+    bool operator<(const PeriodicKey& o) const {
+      return next != o.next ? next < o.next : seq < o.seq;
+    }
+  };
+  struct PeriodicTimer {
     SimDuration period;
     Callback cb;
   };
@@ -91,6 +98,7 @@ class Simulator {
   bool fire_next(SimTime horizon);
 
   std::uint32_t acquire_slot(Callback cb);
+  void find_earliest_periodic();
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
@@ -99,9 +107,12 @@ class Simulator {
   // free list; at steady state scheduling allocates nothing.
   std::vector<Callback> slots_;
   std::vector<std::uint32_t> free_slots_;
-  // Timers are never cancelled; a deque keeps references stable while a
-  // firing callback registers new periodic streams.
+  // Timers are never cancelled. Keys and timers share an index; the deque
+  // keeps a firing callback in place while it registers new periodic
+  // streams, which may reallocate the key vector.
+  std::vector<PeriodicKey> periodic_keys_;
   std::deque<PeriodicTimer> periodics_;
+  std::size_t earliest_periodic_ = 0;  // valid while periodic_keys_ is nonempty
 };
 
 }  // namespace poi360::sim

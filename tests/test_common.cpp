@@ -73,7 +73,7 @@ TEST(Rng, UniformBounds) {
 
 TEST(Rng, BernoulliEdgeCases) {
   Rng r(3);
-  const std::mt19937_64 before = r.engine();
+  const Mt19937_64 before = r.engine();
   EXPECT_FALSE(r.bernoulli(0.0));
   EXPECT_TRUE(r.bernoulli(1.0));
   EXPECT_FALSE(r.bernoulli(-0.5));
@@ -103,6 +103,42 @@ TEST(Rng, EngineIsTheStandardMt19937_64) {
   Rng r(std::mt19937_64::default_seed);
   r.engine().discard(9999);
   EXPECT_EQ(r.engine()(), 9981545732273789042ull);
+}
+
+// The owned engine is a reimplementation of the standard one: same draws for
+// any seed, also after discard and through copies.
+TEST(Rng, OwnedEngineMatchesStdMt19937_64) {
+  EXPECT_EQ(Mt19937_64::default_seed, std::mt19937_64::default_seed);
+  EXPECT_EQ(Mt19937_64::min(), std::mt19937_64::min());
+  EXPECT_EQ(Mt19937_64::max(), std::mt19937_64::max());
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{1}, std::mt19937_64::default_seed,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    Mt19937_64 owned(seed);
+    std::mt19937_64 reference(seed);
+    for (int i = 0; i < 1'000'000; ++i) {
+      ASSERT_EQ(owned(), reference()) << "seed " << seed << " draw " << i;
+    }
+    // Discards inside a block, up to and across block boundaries.
+    for (const unsigned long long z : {0ull, 1ull, 7ull, 311ull, 312ull,
+                                       313ull, 1000ull, 100'003ull}) {
+      owned.discard(z);
+      reference.discard(z);
+      ASSERT_EQ(owned(), reference()) << "seed " << seed << " discard " << z;
+    }
+    // A copy continues the same stream independently of its source.
+    Mt19937_64 owned_copy = owned;
+    std::mt19937_64 reference_copy = reference;
+    EXPECT_EQ(owned_copy, owned);
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(owned(), reference());
+    }
+    EXPECT_NE(owned_copy, owned);
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(owned_copy(), reference_copy());
+    }
+    EXPECT_EQ(owned_copy, owned);
+  }
 }
 
 // First draws of each distribution for seed 42. The algorithms are owned by
@@ -176,7 +212,7 @@ TEST(Rng, UniformIntCoversRangeUnbiased) {
 TEST(Rng, NormalKeepsItsSpareDeviate) {
   Rng r(9);
   r.normal(0.0, 1.0);
-  const std::mt19937_64 before = r.engine();
+  const Mt19937_64 before = r.engine();
   r.normal(0.0, 1.0);  // the spare: no engine draw
   EXPECT_EQ(r.engine(), before);
   r.normal(0.0, 1.0);  // a fresh pair

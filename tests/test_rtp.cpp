@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <deque>
+#include <optional>
+#include <unordered_map>
 #include <vector>
+
+#include "poi360/common/rng.h"
 
 #include "poi360/rtp/pacer.h"
 #include "poi360/rtp/packetizer.h"
@@ -194,6 +200,97 @@ TEST(SentPacketCache, DuplicateSeqUpdatesInPlaceWithoutEviction) {
   EXPECT_TRUE(cache.lookup(3).has_value());
 }
 
+// The sent-packet history as a node map plus an insertion-order deque,
+// kept as the reference the contiguous SentPacketCache must match.
+class ReferenceSentPacketCache {
+ public:
+  explicit ReferenceSentPacketCache(std::size_t capacity)
+      : capacity_(capacity) {}
+
+  void insert(const RtpPacket& packet) {
+    const bool inserted = by_seq_.insert_or_assign(packet.seq, packet).second;
+    if (!inserted) return;
+    order_.push_back(packet.seq);
+    while (order_.size() > capacity_) {
+      by_seq_.erase(order_.front());
+      order_.pop_front();
+    }
+  }
+
+  std::optional<RtpPacket> lookup(std::int64_t seq) const {
+    const auto it = by_seq_.find(seq);
+    if (it == by_seq_.end()) return std::nullopt;
+    return it->second;
+  }
+
+  std::size_t size() const { return by_seq_.size(); }
+
+ private:
+  std::size_t capacity_;
+  std::unordered_map<std::int64_t, RtpPacket> by_seq_;
+  std::deque<std::int64_t> order_;
+};
+
+bool same_packet(const std::optional<RtpPacket>& a,
+                 const std::optional<RtpPacket>& b) {
+  if (a.has_value() != b.has_value()) return false;
+  if (!a) return true;
+  return a->seq == b->seq && a->frame_id == b->frame_id &&
+         a->fragment == b->fragment && a->fragments == b->fragments &&
+         a->bytes == b->bytes && a->capture_time == b->capture_time &&
+         a->send_time == b->send_time &&
+         a->is_retransmission == b->is_retransmission;
+}
+
+TEST(SentPacketCache, MatchesTheMapAndDequeReferenceUnderRandomTraffic) {
+  for (const std::size_t capacity : {std::size_t{3}, std::size_t{8192}}) {
+    Rng rng(capacity);
+    SentPacketCache cache(capacity);
+    ReferenceSentPacketCache reference(capacity);
+    std::int64_t next_seq = 0;
+    const int ops = capacity < 100 ? 5000 : 60000;
+    for (int op = 0; op < ops; ++op) {
+      RtpPacket p;
+      const double kind = rng.uniform(0.0, 1.0);
+      if (kind < 0.6) {
+        // Fresh packet, sometimes after a gap in the seq space.
+        next_seq += rng.bernoulli(0.1) ? rng.uniform_int(2, 40) : 1;
+        p.seq = next_seq;
+      } else if (kind < 0.8) {
+        // Refresh (a retransmission passing the pacer again): a recent seq
+        // that may or may not still be held.
+        const auto back = static_cast<std::int64_t>(2 * capacity + 4);
+        p.seq = next_seq - rng.uniform_int(0, back);
+      } else if (kind < 0.82) {
+        // Far-away and negative seqs exercise the index's probing.
+        p.seq = rng.uniform_int(-1'000'000, 1'000'000) * 4096;
+      } else {
+        const std::int64_t seq =
+            next_seq - rng.uniform_int(0, static_cast<std::int64_t>(
+                                              2 * capacity + 4));
+        ASSERT_TRUE(same_packet(cache.lookup(seq), reference.lookup(seq)))
+            << "capacity " << capacity << " op " << op << " seq " << seq;
+        continue;
+      }
+      p.frame_id = p.seq / 3;
+      p.bytes = rng.uniform_int(1, 1200);
+      p.send_time = op;
+      p.is_retransmission = kind >= 0.6;
+      cache.insert(p);
+      reference.insert(p);
+      ASSERT_EQ(cache.size(), reference.size())
+          << "capacity " << capacity << " op " << op;
+    }
+    // Every seq the reference holds is held with the same payload, and no
+    // other seq in the touched range is.
+    for (std::int64_t seq = next_seq - static_cast<std::int64_t>(capacity) - 50;
+         seq <= next_seq + 1; ++seq) {
+      ASSERT_TRUE(same_packet(cache.lookup(seq), reference.lookup(seq)))
+          << "capacity " << capacity << " seq " << seq;
+    }
+  }
+}
+
 // ------------------------------------------------------------- receiver --
 
 struct ReceiverHarness {
@@ -370,6 +467,24 @@ TEST(Receiver, StalePacketDoesNotReopenFinishedFrame) {
   EXPECT_EQ(h.receiver.assemblies(), 0u);
   EXPECT_EQ(h.receiver.recovery_stats().stale_packets, 1);
   EXPECT_EQ(h.frames.size(), 1u);  // and never double-completes
+}
+
+TEST(Receiver, StalenessCoversExactlyTheLast1024FinishedFrames) {
+  BoundedHarness h{{}};
+  // Frames 0..1024 complete in order: 1025 finished frames.
+  std::int64_t seq = 0;
+  for (std::int64_t f = 0; f <= 1024; ++f) {
+    h.receiver.on_packet(make_packet(seq++, f, 0, 1), msec(1));
+  }
+  ASSERT_EQ(h.frames.size(), 1025u);
+  // Frame 1 is the 1024th most recent: a late duplicate of it is stale.
+  h.receiver.on_packet(make_packet(seq++, 1, 0, 2), msec(2));
+  EXPECT_EQ(h.receiver.recovery_stats().stale_packets, 1);
+  EXPECT_EQ(h.receiver.assemblies(), 0u);
+  // Frame 0 is the 1025th: it has left the history and opens an assembly.
+  h.receiver.on_packet(make_packet(seq++, 0, 0, 2), msec(3));
+  EXPECT_EQ(h.receiver.recovery_stats().stale_packets, 1);
+  EXPECT_EQ(h.receiver.assemblies(), 1u);
 }
 
 TEST(Receiver, ReorderedFragmentsStillAssemble) {
