@@ -185,6 +185,11 @@ Session::Observers Session::observers() const {
   return o;
 }
 
+std::int64_t Session::lost_frames() const {
+  const rtp::RtpReceiver::RecoveryStats& r = receiver_->recovery_stats();
+  return metrics_.skipped_frames() + r.frames_abandoned + r.assembly_evictions;
+}
+
 void Session::run() {
   start();
   advance_until(config_.duration);

@@ -98,6 +98,12 @@ class Session {
   const metrics::SessionMetrics& metrics() const { return metrics_; }
   const SessionConfig& config() const { return config_; }
 
+  /// Frames captured but never displayed, read live: sender skips plus the
+  /// receiver's deadline abandons and cap evictions. These are the frames
+  /// `SessionMetrics::freeze_ratio` counts as frozen; unlike the
+  /// `transport.*` registry counters they are current before `finish()`.
+  std::int64_t lost_frames() const;
+
   /// Read-only window into the session's internals for tests, benches and
   /// the serving layer. Uniform optional semantics: every member is a
   /// pointer that is non-null exactly when the component exists under this

@@ -53,9 +53,9 @@ UplinkChannel::UplinkChannel(ChannelConfig config, std::uint64_t seed)
       base_capacity_(capacity_for_rss(config.rss_dbm)),
       load_(std::clamp(config.mean_cell_load, 0.0, 0.95)) {
   if (config_.explicit_users >= 0) {
-    MultiUserCell::Config cell_config = config_.multi_user;
-    cell_config.background_users = config_.explicit_users;
-    cell_ = MultiUserCell(cell_config, Rng(seed).fork(0xCE11).engine()());
+    SharedCell::Config cell_config;
+    cell_config.background.background_users = config_.explicit_users;
+    cell_.emplace(cell_config, Rng(seed).fork(0xCE11).engine()());
   }
   // Doppler scales the fading rate: at 50 mph the channel decorrelates an
   // order of magnitude faster than at rest.
@@ -88,7 +88,7 @@ Bitrate UplinkChannel::advance(SimTime now) {
 
   // Exact Ornstein-Uhlenbeck transitions for cell load and log-fading, so
   // the stationary mean and std do not depend on the step size. The abstract
-  // load walk is skipped when the explicit multi-user cell is active.
+  // load walk is skipped when the explicit background cell is active.
   if (dt_s != step_dt_s_) {
     step_dt_s_ = dt_s;
     load_step_ = OuStep::over(dt_s, config_.load_tau_s, config_.load_std);
@@ -118,7 +118,8 @@ Bitrate UplinkChannel::advance(SimTime now) {
 
   double cap = base_capacity_ * std::exp(log_fading_);
   if (cell_) {
-    cap *= cell_->foreground_share(now);
+    cap *= cell_->prospective_share(now);
+    cell_->trim(now);  // queries are monotone: keep only the live segment
   } else {
     cap *= (1.0 - load_);
   }

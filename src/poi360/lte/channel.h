@@ -8,7 +8,7 @@
 #include "poi360/common/rng.h"
 #include "poi360/common/time.h"
 #include "poi360/common/units.h"
-#include "poi360/lte/multi_user.h"
+#include "poi360/lte/shared_cell.h"
 #include "poi360/lte/trace.h"
 
 namespace poi360::lte {
@@ -25,7 +25,7 @@ struct ChannelConfig {
 
   /// Mean fraction of uplink cell resources consumed by other users.
   /// (Used by the abstract OU load process; ignored when `explicit_users`
-  /// enables the multi-user cell below.)
+  /// enables the explicit background cell below.)
   double mean_cell_load = 0.15;
   /// Std of the load process (Ornstein-Uhlenbeck around the mean).
   double load_std = 0.08;
@@ -54,11 +54,11 @@ struct ChannelConfig {
   /// for every algorithm under comparison.
   std::shared_ptr<const CapacityTrace> capacity_trace;
 
-  /// >= 0: replace the abstract load process with an explicit multi-user
-  /// proportional-fair cell of this many background UEs (see MultiUserCell);
-  /// -1 keeps the abstract Ornstein-Uhlenbeck load model.
+  /// >= 0: replace the abstract load process with a private proportional-
+  /// fair cell of this many on/off background UEs (a SharedCell with the
+  /// default background process and no registered UE); -1 keeps the
+  /// abstract Ornstein-Uhlenbeck load model.
   int explicit_users = -1;
-  MultiUserCell::Config multi_user{};
 };
 
 /// Maps RSS to the uplink capacity available to a lone UE in an idle cell.
@@ -90,9 +90,7 @@ class UplinkChannel {
   double current_load() const { return load_; }
   double current_log_fading() const { return log_fading_; }
   /// Present only when `explicit_users >= 0`.
-  const std::optional<MultiUserCell>& multi_user_cell() const {
-    return cell_;
-  }
+  const std::optional<SharedCell>& background_cell() const { return cell_; }
 
   const ChannelConfig& config() const { return config_; }
 
@@ -112,7 +110,7 @@ class UplinkChannel {
   ChannelConfig config_;
   Rng rng_;
   Bitrate base_capacity_;
-  std::optional<MultiUserCell> cell_;
+  std::optional<SharedCell> cell_;
 
   double load_;         // OU state
   double log_fading_ = 0.0;  // OU state in log domain

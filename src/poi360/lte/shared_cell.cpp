@@ -7,9 +7,8 @@ namespace poi360::lte {
 
 SharedCell::SharedCell(Config config, std::uint64_t seed)
     : config_(config), rng_(seed) {
-  // Background bring-up replicates MultiUserCell's constructor draw-for-draw
-  // (random on/off phase per user) so that a SharedCell and a MultiUserCell
-  // built from the same seed host the same background population.
+  // Start each background user in a random phase of its on/off cycle so the
+  // cell does not begin synchronized.
   const auto& bg = config_.background;
   background_.resize(
       static_cast<std::size_t>(std::max(0, bg.background_users)));
@@ -44,9 +43,9 @@ void SharedCell::commit_demand() {
 }
 
 void SharedCell::extend(SimTime now) {
-  // Collect every background toggle in (frontier_, now] — per user in index
-  // order, the same draw order as MultiUserCell::advance_user — then fold
-  // them into the timeline in time order.
+  // Collect every background toggle in (frontier_, now] — drawn per user in
+  // index order, which fixes the stream — then fold them into the timeline
+  // in time order.
   pending_.clear();
   const auto& bg = config_.background;
   for (auto& user : background_) {

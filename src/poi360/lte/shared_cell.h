@@ -7,22 +7,22 @@
 
 #include "poi360/common/rng.h"
 #include "poi360/common/time.h"
-#include "poi360/lte/multi_user.h"
 
 namespace poi360::lte {
 
 /// A proportional-fair cell whose capacity is a shared, injectable resource.
 ///
-/// `MultiUserCell` bakes the single-foreground contract into its API: one
-/// implicit foreground UE, everyone else an anonymous on/off source, and the
-/// only question you can ask is "what share does *the* foreground get".
-/// SharedCell inverts the ownership: N first-class UEs register as demand
-/// sources (each one a full POI360 session, a CBR voice flow, an FTP bulk
-/// transfer, ...) and each asks for *its* share, while the same on/off
-/// background process models the residual non-registered load. With exactly
-/// one registered unit-weight UE the share sequence is draw-for-draw
-/// identical to `MultiUserCell::foreground_share`, which is what keeps every
-/// pre-existing single-session run byte-identical.
+/// N first-class UEs register as demand sources (each one a full POI360
+/// session, a CBR voice flow, an FTP bulk transfer, ...) and each asks for
+/// *its* share. The residual non-registered load is an on/off background
+/// process: each background UE alternates exponential active bursts and idle
+/// gaps, and the PF scheduler splits resources among everyone backlogged.
+/// A UE's share therefore surges toward 1.0 when everyone else goes quiet
+/// and collapses when competitors burst — the surge/famine phenomenology of
+/// §3.3, emerging from first principles. This is the repo's one contention
+/// class: the fleet shares one cell among its sessions, while a private
+/// channel (`ChannelConfig::explicit_users`) and the admission controller
+/// each own a cell with no registered UE and read `prospective_share`.
 ///
 /// Time discipline: the fleet driver advances its sessions one master
 /// quantum at a time, so session B asks for shares at times session A has
@@ -30,7 +30,7 @@ namespace poi360::lte {
 /// destructively per query; instead its active-user count is recorded as a
 /// piecewise-constant timeline. Queries at or behind the frontier are pure
 /// lookups (order-independent across UEs); a query past the frontier extends
-/// the timeline, drawing from the RNG exactly as MultiUserCell would have.
+/// the timeline, drawing each background UE's toggles in index order.
 ///
 /// Demand discipline: UEs report their live uplink backlog every grant,
 /// but shares are computed against the snapshot frozen by the latest
@@ -43,10 +43,20 @@ namespace poi360::lte {
 /// worker (the fleet driver shards whole cells across workers).
 class SharedCell {
  public:
+  /// The residual non-registered on/off load.
+  struct Background {
+    int background_users = 6;
+    /// Mean duration of a user's active (uploading) burst.
+    SimDuration mean_on = msec(1500);
+    /// Mean idle gap between a user's bursts.
+    SimDuration mean_off = sec(6);
+    /// PF weight of a background user relative to a heavily backlogged
+    /// video UE; < 1 models their smaller buffers/QoS class.
+    double background_weight = 1.0;
+  };
+
   struct Config {
-    /// Residual non-registered on/off load; same process (and, per seed,
-    /// same draws) as MultiUserCell.
-    MultiUserCell::Config background{};
+    Background background{};
   };
 
   SharedCell(Config config, std::uint64_t seed);
@@ -69,12 +79,14 @@ class SharedCell {
   /// Proportional-fair capacity share of `ue` at `now` in (0, 1]: its
   /// weight over the committed backlogged weight plus the background load.
   /// The asking UE always counts itself backlogged — a momentarily empty
-  /// buffer still costs it its grant slot, exactly like MultiUserCell's
-  /// foreground. `now` may be behind the frontier (see class comment).
+  /// buffer still costs it its grant slot. `now` may be behind the frontier
+  /// (see class comment).
   double share(int ue, SimTime now);
 
   /// Share a newly registered, backlogged unit-weight UE would receive at
-  /// `now` — what the admission controller prices an arrival at.
+  /// `now` — what the admission controller prices an arrival at. With no
+  /// registered UE this is `1 / (1 + active background weight)`, the share
+  /// of a lone foreground UE on a private channel.
   double prospective_share(SimTime now);
 
   /// Total committed backlogged weight of registered UEs.

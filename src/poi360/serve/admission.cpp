@@ -3,17 +3,11 @@
 namespace poi360::serve {
 
 AdmissionController::AdmissionController(Config config, std::uint64_t seed)
-    : config_(config), cell_(config.cell, seed) {}
+    : config_(config), cell_(lte::SharedCell::Config{config.cell}, seed) {}
 
 Bitrate AdmissionController::headroom(SimTime now) {
-  if (shared_cell_) {
-    // The live registration already accounts for every admitted session's
-    // demand (their uplinks report backlog each grant), so the marginal
-    // share prices the arrival directly — no static reservation to subtract.
-    return config_.cell_capacity * shared_cell_->prospective_share(now) *
-           config_.headroom_fraction;
-  }
-  const double share = cell_.foreground_share(now);
+  const double share = cell_.prospective_share(now);
+  cell_.trim(now);
   return config_.cell_capacity * share * config_.headroom_fraction -
          admitted_demand_;
 }

@@ -4,17 +4,17 @@
 
 #include "poi360/common/time.h"
 #include "poi360/common/units.h"
-#include "poi360/lte/multi_user.h"
 #include "poi360/lte/shared_cell.h"
 
 namespace poi360::serve {
 
 /// Gates session arrivals against estimated cell headroom.
 ///
-/// Capacity accounting reuses the LTE layer's multi-user cell model: a
-/// `lte::MultiUserCell` tracks the on/off background (non-POI360) uplink
-/// load, and its foreground share scales the raw cell budget to what the
-/// POI360 sessions can actually claim right now. Each admitted session
+/// Capacity accounting reuses the LTE layer's contention model: a private
+/// `lte::SharedCell` with no registered UE tracks the on/off background
+/// (non-POI360) uplink load, and the share it would give an arrival scales
+/// the raw cell budget to what the POI360 sessions can actually claim right
+/// now. Each admitted session
 /// reserves its estimated demand (the configured initial rate); an arrival
 /// whose demand does not fit the remaining headroom is handled by policy:
 ///
@@ -39,23 +39,11 @@ class AdmissionController {
     /// rest absorbs per-session burstiness above the reserved mean.
     double headroom_fraction = 0.9;
     /// Background-load accounting (same on/off UE model the LTE uplink
-    /// uses); its foreground share scales `cell_capacity` over time.
-    lte::MultiUserCell::Config cell{};
+    /// uses); its prospective share scales `cell_capacity` over time.
+    lte::SharedCell::Background cell{};
   };
 
   AdmissionController(Config config, std::uint64_t seed);
-
-  /// Fleet mode: price admissions off a live `SharedCell` instead of the
-  /// private snapshot model. Headroom becomes `cell_capacity ·
-  /// prospective_share(now) · headroom_fraction` — the PF share a newly
-  /// admitted UE would actually receive against the cell's committed
-  /// backlogged population plus its background load. The registration *is*
-  /// the accounting, so the static `admitted_demand_` reservation is not
-  /// double-counted while attached. Pass nullptr to detach (the private
-  /// model resumes, byte-identical to an unattached controller). The cell
-  /// must outlive the controller.
-  void attach_cell(lte::SharedCell* cell) { shared_cell_ = cell; }
-  const lte::SharedCell* attached_cell() const { return shared_cell_; }
 
   /// Admission decision for an arrival reserving `demand` bits/s. Pure
   /// decision — the caller confirms with `on_admitted` once a session slot
@@ -70,7 +58,9 @@ class AdmissionController {
   }
 
   /// Capacity currently available to new admissions (can be negative under
-  /// degrade-mode overload). Advances the background-load processes.
+  /// degrade-mode overload): `cell_capacity · prospective_share(now) ·
+  /// headroom_fraction − admitted_demand`. Advances the background-load
+  /// process; `now` must not decrease across calls.
   Bitrate headroom(SimTime now);
 
   Bitrate admitted_demand() const { return admitted_demand_; }
@@ -82,8 +72,7 @@ class AdmissionController {
 
  private:
   Config config_;
-  lte::MultiUserCell cell_;
-  lte::SharedCell* shared_cell_ = nullptr;
+  lte::SharedCell cell_;
   Bitrate admitted_demand_ = 0.0;
   std::int64_t accepted_ = 0;
   std::int64_t degrade_admissions_ = 0;

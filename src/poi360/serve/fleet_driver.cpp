@@ -4,10 +4,10 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "poi360/common/json.h"
 #include "poi360/common/stats.h"
 #include "poi360/runner/batch_runner.h"
 #include "poi360/runner/experiment_spec.h"
-#include "poi360/runner/result_io.h"
 
 namespace poi360::serve {
 
@@ -34,10 +34,13 @@ std::string percentiles_text(const FleetPercentiles& p, const char* format) {
          " p90=" + fmt(format, p.p90) + " p99=" + fmt(format, p.p99);
 }
 
-std::string percentiles_json(const FleetPercentiles& p, const char* format) {
-  return "{\"p10\": " + fmt(format, p.p10) + ", \"p50\": " +
-         fmt(format, p.p50) + ", \"p90\": " + fmt(format, p.p90) +
-         ", \"p99\": " + fmt(format, p.p99) + "}";
+common::Json percentiles_json(const FleetPercentiles& p) {
+  common::Json j = common::Json::object();
+  j.set("p10", p.p10);
+  j.set("p50", p.p50);
+  j.set("p90", p.p90);
+  j.set("p99", p.p99);
+  return j;
 }
 
 }  // namespace
@@ -76,18 +79,22 @@ FleetCell::FleetCell(const FleetConfig& config, int cell_index,
   }
   const bool tracing = plane_ && config_.telemetry.tracing_on();
   const int n = std::max(1, config_.sessions_per_cell);
-  sessions_.reserve(static_cast<std::size_t>(n));
+  slots_.resize(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     const FleetRung& rung =
         config_.ladder[static_cast<std::size_t>(i) % config_.ladder.size()];
-    core::SessionConfig sc = config_.session;
+    ManagedSession::Config mc;
+    mc.id = i;
+    mc.planned_duration = config_.duration;
+    core::SessionConfig& sc = mc.session;
+    sc = config_.session;
     sc.network = core::NetworkType::kCellular;
     sc.rate_control = rung.rate_control;
     sc.compression = rung.compression;
     sc.duration = config_.duration;
     sc.seed = runner::derive_seed(config_.seed, cell_index * n + i);
     // The shared cell is the only contention source: the private OU load
-    // and explicit multi-user models would double-count the competition.
+    // and explicit background cell would double-count the competition.
     sc.channel.explicit_users = -1;
     sc.channel.mean_cell_load = 0.0;
     sc.channel.load_std = 0.0;
@@ -100,11 +107,10 @@ FleetCell::FleetCell(const FleetConfig& config, int cell_index,
       sc.trace.capacity = config_.telemetry.trace_sampling.ring_capacity;
       traced = true;
     }
-    traced_.push_back(traced ? 1 : 0);
-    rungs_.push_back(to_string(rung));
-    seeds_.push_back(sc.seed);
-    errors_.emplace_back();
-    sessions_.push_back(std::make_unique<core::Session>(sc));
+    Slot& slot = slots_[static_cast<std::size_t>(i)];
+    slot.rung = to_string(rung);
+    slot.slo = SessionSlo(config_.telemetry.slo, traced);
+    slot.ms.admit(std::move(mc), 0);
   }
   add_cross_traffic(config_.voice);
   add_cross_traffic(config_.ftp);
@@ -113,12 +119,6 @@ FleetCell::FleetCell(const FleetConfig& config, int cell_index,
 
 void FleetCell::register_telemetry() {
   const std::string cell_label = std::to_string(cell_index_);
-  slo_.assign(sessions_.size(), obs::SloTracker(config_.telemetry.slo));
-  frame_cursor_.assign(sessions_.size(), 0);
-  displayed_seen_.assign(sessions_.size(), 0);
-  frozen_frames_.assign(sessions_.size(), 0);
-  mismatched_.assign(sessions_.size(), 0);
-  over_delay_.assign(sessions_.size(), 0);
   next_publish_ = std::max<SimDuration>(msec(1), config_.telemetry.publish_period);
 
   telemetry_.set_help("fleet.freeze_ratio",
@@ -128,17 +128,17 @@ void FleetCell::register_telemetry() {
                       "threshold)");
   // One series per distinct rung label; sessions map onto them cyclically,
   // so the series count is bounded by the ladder, not the population.
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
     // Linear scan over the few distinct rung labels seen so far.
     int idx = -1;
     for (std::size_t j = 0; j < i; ++j) {
-      if (rungs_[j] == rungs_[i]) {
-        idx = rung_index_[j];
+      if (slots_[j].rung == slots_[i].rung) {
+        idx = slots_[j].series;
         break;
       }
     }
     if (idx < 0) {
-      const obs::Labels labels{{"cell", cell_label}, {"rung", rungs_[i]}};
+      const obs::Labels labels{{"cell", cell_label}, {"rung", slots_[i].rung}};
       RungSeries series;
       series.sessions = &telemetry_.gauge("fleet.sessions", labels);
       series.freeze_ratio = &telemetry_.gauge("fleet.freeze_ratio", labels);
@@ -161,7 +161,7 @@ void FleetCell::register_telemetry() {
       idx = static_cast<int>(rung_series_.size());
       rung_series_.push_back(series);
     }
-    rung_index_.push_back(idx);
+    slots_[i].series = idx;
   }
   if (config_.telemetry.tracing_on()) {
     const obs::Labels labels{{"cell", cell_label}};
@@ -203,15 +203,7 @@ void FleetCell::step_cross_traffic(SimTime t) {
 }
 
 void FleetCell::start() {
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    try {
-      sessions_[i]->start();
-    } catch (const std::exception& e) {
-      errors_[i] = e.what();
-    } catch (...) {
-      errors_[i] = "unknown exception";
-    }
-  }
+  for (Slot& slot : slots_) slot.ms.activate(0);
   cell_.commit_demand();
 }
 
@@ -222,16 +214,7 @@ void FleetCell::advance_to(SimTime t) {
   step_cross_traffic(now_);
   cell_.commit_demand();
   cell_.trim(now_);
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    if (!errors_[i].empty()) continue;
-    try {
-      sessions_[i]->advance_until(t);
-    } catch (const std::exception& e) {
-      errors_[i] = e.what();
-    } catch (...) {
-      errors_[i] = "unknown exception";
-    }
-  }
+  for (Slot& slot : slots_) slot.ms.advance_until(t);
   now_ = t;
   if (plane_ && t >= next_publish_) {
     publish_telemetry(t);
@@ -239,22 +222,6 @@ void FleetCell::advance_to(SimTime t) {
       next_publish_ +=
           std::max<SimDuration>(msec(1), config_.telemetry.publish_period);
     }
-  }
-}
-
-void FleetCell::fold_session_frames(std::size_t i) {
-  const metrics::SessionMetrics& m = sessions_[i]->metrics();
-  const auto& frames = m.frames();
-  const SimDuration freeze_threshold = config_.session.freeze_threshold;
-  const SimDuration delay_target = config_.telemetry.slo.delay_target;
-  obs::BucketHistogram* hist = rung_series_[rung_index_[i]].delay_hist;
-  for (; frame_cursor_[i] < frames.size(); ++frame_cursor_[i]) {
-    const metrics::FrameRecord& f = frames[frame_cursor_[i]];
-    ++displayed_seen_[i];
-    if (f.delay > freeze_threshold) ++frozen_frames_[i];
-    if (f.roi_mismatch) ++mismatched_[i];
-    if (f.delay > delay_target) ++over_delay_[i];
-    hist->observe(to_millis(f.delay));
   }
 }
 
@@ -270,34 +237,24 @@ void FleetCell::publish_telemetry(SimTime t) {
   };
   std::vector<RungAgg> agg(rung_series_.size());
 
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    if (!errors_[i].empty()) continue;
-    fold_session_frames(i);
-    const core::Session& session = *sessions_[i];
-    const obs::MetricsRegistry& reg = session.metrics().registry();
-    const std::int64_t lost =
-        reg.counter_value("sender.skipped_frames") +
-        session.observers().receiver->recovery_stats().frames_abandoned;
-    obs::SloSample sample;
-    sample.total = displayed_seen_[i] + lost;
-    sample.frozen = frozen_frames_[i] + lost;
-    sample.mismatched = mismatched_[i];
-    sample.over_delay = over_delay_[i];
-    RungSeries& series = rung_series_[rung_index_[i]];
-    const obs::SloTransitions tr = slo_[i].observe(
-        t, sample, traced_[i] ? sessions_[i]->trace() : nullptr,
-        static_cast<std::int64_t>(i));
+  for (Slot& slot : slots_) {
+    core::Session* session = slot.ms.session();
+    if (!session || slot.ms.state() == SessionState::kFailed) continue;
+    RungSeries& series = rung_series_[static_cast<std::size_t>(slot.series)];
+    const obs::SloTransitions tr =
+        slot.slo.observe(t, *session, slot.ms.id(), *series.delay_hist);
     for (int o = 0; o < obs::kSloObjectives; ++o) {
       if (tr.breached_now[o]) series.slo_breach[o]->inc();
       if (tr.recovered_now[o]) series.slo_recovered[o]->inc();
     }
-    RungAgg& a = agg[rung_index_[i]];
+    RungAgg& a = agg[static_cast<std::size_t>(slot.series)];
     ++a.sessions;
-    a.displayed += displayed_seen_[i];
-    a.frozen += frozen_frames_[i];
-    a.lost += lost;
-    a.mismatched += mismatched_[i];
-    const obs::Histogram* delay_h = reg.find_histogram("frame.delay_ms");
+    a.displayed += slot.slo.displayed();
+    a.frozen += slot.slo.frozen();
+    a.lost += slot.slo.lost();
+    a.mismatched += slot.slo.mismatched();
+    const obs::Histogram* delay_h =
+        session->metrics().registry().find_histogram("frame.delay_ms");
     if (delay_h) a.delay_sum_ms += delay_h->sum();
   }
 
@@ -331,53 +288,45 @@ void FleetCell::publish_telemetry(SimTime t) {
 }
 
 void FleetCell::finish() {
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    if (!errors_[i].empty()) continue;
-    try {
-      sessions_[i]->finish();
-    } catch (const std::exception& e) {
-      errors_[i] = e.what();
-    } catch (...) {
-      errors_[i] = "unknown exception";
+  for (Slot& slot : slots_) slot.ms.drain(now_);
+  if (!plane_) return;
+  publish_telemetry(now_);
+  if (!config_.telemetry.tracing_on()) return;
+  const int n = static_cast<int>(slots_.size());
+  for (const Slot& slot : slots_) {
+    const core::Session* session = slot.ms.session();
+    if (!slot.slo.traced() || !session ||
+        slot.ms.state() == SessionState::kFailed) {
+      continue;
     }
-  }
-  if (plane_) {
-    publish_telemetry(now_);
-    if (config_.telemetry.tracing_on()) {
-      const int n = std::max(1, config_.sessions_per_cell);
-      for (std::size_t i = 0; i < sessions_.size(); ++i) {
-        if (!traced_[i] || !errors_[i].empty()) continue;
-        const obs::TraceRecorder* trace = sessions_[i]->trace();
-        if (!trace) continue;
-        runner::RunSpec rs;
-        rs.run_id = cell_index_ * n + static_cast<int>(i);
-        rs.experiment = "fleet";
-        rs.params = {{"cell", std::to_string(cell_index_)},
-                     {"slot", std::to_string(i)},
-                     {"rung", rungs_[i]}};
-        rs.seed = seeds_[i];
-        runner::write_trace(
-            config_.telemetry.trace_dir + "/" + runner::trace_file_name(rs),
-            *trace, "fleet/cell=" + std::to_string(cell_index_) +
-                        "/slot=" + std::to_string(i));
-      }
-    }
+    const std::string index = std::to_string(slot.ms.id());
+    runner::RunSpec rs;
+    rs.run_id = cell_index_ * n + static_cast<int>(slot.ms.id());
+    rs.experiment = "fleet";
+    rs.params = {{"cell", std::to_string(cell_index_)},
+                 {"slot", index},
+                 {"rung", slot.rung}};
+    rs.seed = slot.ms.config().session.seed;
+    write_session_trace(
+        config_.telemetry.trace_dir, rs, *session,
+        "fleet/cell=" + std::to_string(cell_index_) + "/slot=" + index);
   }
 }
 
 std::vector<FleetSessionResult> FleetCell::results() const {
   std::vector<FleetSessionResult> out;
-  out.reserve(sessions_.size());
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
+  out.reserve(slots_.size());
+  for (const Slot& slot : slots_) {
     FleetSessionResult r;
     r.cell = cell_index_;
-    r.index = static_cast<int>(i);
-    r.seed = seeds_[i];
-    r.rung = rungs_[i];
-    r.ok = errors_[i].empty();
-    r.error = errors_[i];
-    if (r.ok) {
-      const metrics::SessionMetrics& m = sessions_[i]->metrics();
+    r.index = static_cast<int>(slot.ms.id());
+    r.seed = slot.ms.config().session.seed;
+    r.rung = slot.rung;
+    r.ok = slot.ms.state() != SessionState::kFailed;
+    r.error = slot.ms.error();
+    const core::Session* session = slot.ms.session();
+    if (r.ok && session) {
+      const metrics::SessionMetrics& m = session->metrics();
       r.displayed_frames = m.displayed_frames();
       r.mean_throughput_mbps = m.mean_throughput() / 1e6;
       r.freeze_ratio = m.freeze_ratio(config_.session.freeze_threshold);
@@ -524,50 +473,40 @@ std::string to_text(const FleetSummary& s) {
 }
 
 std::string to_json(const FleetSummary& s) {
-  std::string out = "{\n";
-  out += "  \"schema\": \"poi360.fleet.v1\",\n";
-  out += "  \"seed\": " + std::to_string(s.seed) + ",\n";
-  out += "  \"cells\": " + std::to_string(s.cells) + ",\n";
-  out += "  \"sessions_per_cell\": " + std::to_string(s.sessions_per_cell) +
-         ",\n";
-  out += "  \"duration_s\": " + fmt("%.3f", to_seconds(s.duration)) + ",\n";
-  out += "  \"failed_sessions\": " + std::to_string(s.failed_sessions) +
-         ",\n";
-  out += "  \"freeze_ratio\": " + percentiles_json(s.freeze, "%.6f") + ",\n";
-  out += "  \"mismatch_ratio\": " + percentiles_json(s.mismatch, "%.6f") +
-         ",\n";
-  out += "  \"frame_delay_ms\": " + percentiles_json(s.delay_ms, "%.3f") +
-         ",\n";
-  out += "  \"mean_throughput_mbps\": " +
-         fmt("%.6f", s.mean_throughput_mbps) + ",\n";
-  out += "  \"jain_all\": " + fmt("%.6f", s.jain_all) + ",\n";
-  out += "  \"jain_by_rung\": {";
-  for (std::size_t i = 0; i < s.jain_by_rung.size(); ++i) {
-    if (i) out += ", ";
-    out += "\"" + s.jain_by_rung[i].first +
-           "\": " + fmt("%.6f", s.jain_by_rung[i].second);
+  common::Json j = common::Json::object();
+  j.set("schema", "poi360.fleet.v1");
+  j.set("seed", s.seed);
+  j.set("cells", s.cells);
+  j.set("sessions_per_cell", s.sessions_per_cell);
+  j.set("duration_s", to_seconds(s.duration));
+  j.set("failed_sessions", s.failed_sessions);
+  j.set("freeze_ratio", percentiles_json(s.freeze));
+  j.set("mismatch_ratio", percentiles_json(s.mismatch));
+  j.set("frame_delay_ms", percentiles_json(s.delay_ms));
+  j.set("mean_throughput_mbps", s.mean_throughput_mbps);
+  j.set("jain_all", s.jain_all);
+  common::Json jain = common::Json::object();
+  for (const auto& [rung, index] : s.jain_by_rung) jain.set(rung, index);
+  j.set("jain_by_rung", std::move(jain));
+  common::Json sessions = common::Json::array();
+  for (const FleetSessionResult& r : s.sessions) {
+    common::Json row = common::Json::object();
+    row.set("cell", r.cell);
+    row.set("slot", r.index);
+    row.set("rung", r.rung);
+    row.set("seed", r.seed);
+    row.set("ok", r.ok);
+    row.set("displayed", r.displayed_frames);
+    row.set("thpt_mbps", r.mean_throughput_mbps);
+    row.set("freeze", r.freeze_ratio);
+    row.set("mismatch", r.mismatch_ratio);
+    row.set("delay_ms", r.mean_delay_ms);
+    row.set("p95_ms", r.p95_delay_ms);
+    row.set("psnr_db", r.mean_roi_psnr_db);
+    sessions.push_back(std::move(row));
   }
-  out += "},\n";
-  out += "  \"sessions\": [\n";
-  for (std::size_t i = 0; i < s.sessions.size(); ++i) {
-    const FleetSessionResult& r = s.sessions[i];
-    out += "    {\"cell\": " + std::to_string(r.cell) +
-           ", \"slot\": " + std::to_string(r.index) +
-           ", \"rung\": \"" + r.rung + "\"" +
-           ", \"seed\": " + std::to_string(r.seed) +
-           ", \"ok\": " + (r.ok ? "true" : "false") +
-           ", \"displayed\": " + std::to_string(r.displayed_frames) +
-           ", \"thpt_mbps\": " + fmt("%.6f", r.mean_throughput_mbps) +
-           ", \"freeze\": " + fmt("%.6f", r.freeze_ratio) +
-           ", \"mismatch\": " + fmt("%.6f", r.mismatch_ratio) +
-           ", \"delay_ms\": " + fmt("%.3f", r.mean_delay_ms) +
-           ", \"p95_ms\": " + fmt("%.3f", r.p95_delay_ms) +
-           ", \"psnr_db\": " + fmt("%.3f", r.mean_roi_psnr_db) + "}";
-    out += (i + 1 < s.sessions.size()) ? ",\n" : "\n";
-  }
-  out += "  ]\n";
-  out += "}\n";
-  return out;
+  j.set("sessions", std::move(sessions));
+  return j.dump(2) + "\n";
 }
 
 }  // namespace poi360::serve

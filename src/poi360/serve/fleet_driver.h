@@ -14,6 +14,7 @@
 #include "poi360/obs/metrics_registry.h"
 #include "poi360/obs/sampling.h"
 #include "poi360/obs/slo.h"
+#include "poi360/serve/managed_session.h"
 #include "poi360/serve/telemetry.h"
 
 // Cell-scale fleet simulation: N first-class POI360 sessions per cell, every
@@ -136,6 +137,8 @@ double jain_index(const std::vector<double>& xs);
 
 /// One cell of the fleet: a SharedCell, its N full sessions and its
 /// cross-traffic sources, advanced in lockstep on the master timeline.
+/// Each session is a ManagedSession, so an exception from one session marks
+/// it failed (error kept for the report) without stopping the cell.
 /// Public (rather than a FleetDriver internal) so the perf gate can price
 /// the steady-state per-session step cost directly.
 class FleetCell {
@@ -151,6 +154,7 @@ class FleetCell {
   FleetCell(const FleetCell&) = delete;
   FleetCell& operator=(const FleetCell&) = delete;
 
+  /// Constructs and starts every session at master time 0.
   void start();
   /// Advances every session to master time `t` (one quantum slice): steps
   /// the cross-traffic processes, commits the demand snapshot, trims the
@@ -160,7 +164,7 @@ class FleetCell {
 
   std::vector<FleetSessionResult> results() const;
   lte::SharedCell& shared_cell() { return cell_; }
-  int sessions() const { return static_cast<int>(sessions_.size()); }
+  int sessions() const { return static_cast<int>(slots_.size()); }
   const obs::MetricsRegistry& telemetry_registry() const { return telemetry_; }
   const obs::TraceSampler& trace_sampler() const { return sampler_; }
 
@@ -185,11 +189,17 @@ class FleetCell {
     obs::BucketHistogram* delay_hist = nullptr;
   };
 
+  /// One session of the cell; the ManagedSession's id is the slot index.
+  struct Slot {
+    ManagedSession ms;
+    SessionSlo slo;
+    std::string rung;
+    int series = 0;  ///< rung series index (telemetry on)
+  };
+
   void add_cross_traffic(const CrossTrafficSpec& spec);
   void step_cross_traffic(SimTime t);
   void register_telemetry();
-  /// Folds new frames of session `i` into its SLO counts + rung histogram.
-  void fold_session_frames(std::size_t i);
   /// SLO pass + rung aggregates + publish to the plane.
   void publish_telemetry(SimTime t);
 
@@ -197,10 +207,7 @@ class FleetCell {
   int cell_index_ = 0;
   lte::SharedCell cell_;
   Rng cross_rng_;
-  std::vector<std::unique_ptr<core::Session>> sessions_;
-  std::vector<std::string> rungs_;
-  std::vector<std::uint64_t> seeds_;
-  std::vector<std::string> errors_;  // non-empty = session failed
+  std::vector<Slot> slots_;
   std::vector<CrossSource> cross_;
   SimTime now_ = 0;
 
@@ -208,15 +215,7 @@ class FleetCell {
   TelemetryPlane* plane_ = nullptr;
   obs::MetricsRegistry telemetry_;
   obs::TraceSampler sampler_;
-  std::vector<int> rung_index_;          ///< session -> rung series index
   std::vector<RungSeries> rung_series_;  ///< one per distinct rung label
-  std::vector<obs::SloTracker> slo_;
-  std::vector<std::size_t> frame_cursor_;
-  std::vector<std::int64_t> displayed_seen_;
-  std::vector<std::int64_t> frozen_frames_;
-  std::vector<std::int64_t> mismatched_;
-  std::vector<std::int64_t> over_delay_;
-  std::vector<char> traced_;
   SimTime next_publish_ = 0;
 };
 

@@ -95,10 +95,8 @@ void ManagedSession::release() {
 
 std::int64_t ManagedSession::progress_marker() const {
   if (!session_) return 0;
-  const obs::MetricsRegistry& reg = session_->metrics().registry();
-  return reg.counter_value("frame.displayed") +
-         reg.counter_value("sender.skipped_frames") +
-         session_->observers().receiver->recovery_stats().frames_abandoned;
+  return session_->metrics().registry().counter_value("frame.displayed") +
+         session_->lost_frames();
 }
 
 bool ManagedSession::observe_stuck(SimTime now) {

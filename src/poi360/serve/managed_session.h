@@ -31,16 +31,18 @@ const char* to_string(SessionState state);
 /// no-progress watchdog that detects stuck sessions so the soak driver can
 /// force-drain them instead of wedging the run.
 ///
-/// Progress is read from the session's MetricsRegistry frame-lifecycle
-/// signals: a session counts as alive while frames keep displaying at the
-/// viewer, being skipped at the sender (backpressure), or being abandoned by
-/// the receiver (loss recovery). A session none of whose three frame
-/// counters move for `watchdog_deadline` is wedged — nothing in the
-/// pipeline is cycling — and gets force-drained.
+/// Progress is read from the session's frame-lifecycle signals: a session
+/// counts as alive while frames keep displaying at the viewer or being lost
+/// (`core::Session::lost_frames`: skipped at the sender under backpressure,
+/// abandoned or evicted by the receiver's loss recovery). A session whose
+/// frame counters do not move for `watchdog_deadline` is wedged — nothing in
+/// the pipeline is cycling — and gets force-drained.
 ///
 /// Designed for slot pooling: default-constructible, reusable via
 /// `admit()` after `release()`, and all bookkeeping is inline (the only
 /// allocation is the inner core::Session itself, paid once per admission).
+/// The fleet driver holds one per session for the same exception
+/// containment without the churn.
 class ManagedSession {
  public:
   struct Config {
@@ -55,12 +57,13 @@ class ManagedSession {
   /// Binds an admission to this slot. Valid only from kIdle.
   void admit(Config config, SimTime now);
 
-  /// Constructs and starts the inner session. Valid only from kAdmitted.
+  /// Constructs and starts the inner session. Valid only from kAdmitted;
+  /// an exception from construction or start() lands in kFailed.
   void activate(SimTime now);
 
   /// Advances the inner timeline to `t`. An exception from the inner
   /// session transitions to kFailed (error retained) instead of unwinding
-  /// the whole soak run.
+  /// the whole run.
   void advance_until(SimTime t);
 
   /// Graceful close: finish() the inner metrics, kActive -> kClosed.

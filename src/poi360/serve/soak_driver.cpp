@@ -5,8 +5,8 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "poi360/common/json.h"
 #include "poi360/runner/experiment_spec.h"
-#include "poi360/runner/result_io.h"
 
 namespace poi360::serve {
 
@@ -31,6 +31,7 @@ SoakDriver::SoakDriver(SoakConfig config)
   for (std::size_t i = slots_.size(); i > 0; --i) {
     free_slots_.push_back(static_cast<std::uint32_t>(i - 1));
   }
+  for (Slot& slot : slots_) slot.slo = SessionSlo(config_.telemetry.slo);
 
   // Pre-register every serve.* entry so the registry's node count is flat
   // from the first event on — the map never grows under churn, which is one
@@ -215,6 +216,7 @@ void SoakDriver::on_arrival() {
   free_slots_.pop_back();
   Slot& slot = slots_[index];
 
+  bool traced = false;
   if (config_.telemetry.tracing_on()) {
     // Keep/drop is a pure function of the derived per-session seed — the
     // same contract BatchRunner uses — so the sampled set is identical for
@@ -223,7 +225,7 @@ void SoakDriver::on_arrival() {
             runner::derive_seed(config_.seed, static_cast<int>(id)))) {
       mc.session.trace.enabled = true;
       mc.session.trace.capacity = config_.telemetry.trace_sampling.ring_capacity;
-      slot.traced = true;
+      traced = true;
     }
     if (trace_kept_) trace_kept_->set(sampler_.kept());
     if (trace_sampled_out_) trace_sampled_out_->set(sampler_.sampled_out());
@@ -231,14 +233,7 @@ void SoakDriver::on_arrival() {
       trace_budget_rejected_->set(sampler_.budget_rejected());
     }
   }
-  if (config_.telemetry.telemetry_on()) {
-    slot.slo = obs::SloTracker(config_.telemetry.slo);
-    slot.frame_cursor = 0;
-    slot.displayed_seen = 0;
-    slot.frozen_frames = 0;
-    slot.mismatched = 0;
-    slot.over_delay = 0;
-  }
+  slot.slo.reset(traced);
 
   slot.ms.admit(std::move(mc), now);
   admission_.on_admitted(demand);
@@ -297,52 +292,21 @@ void SoakDriver::on_snapshot_tick() {
   snapshots_.push(Snapshot{sim_.now(), std::move(text)});
 }
 
-void SoakDriver::fold_slot_frames(Slot& slot) {
-  const core::Session* session = slot.ms.session();
-  if (!session) return;
-  const metrics::SessionMetrics& m = session->metrics();
-  const auto& frames = m.frames();
-  const SimDuration freeze_threshold = slot.ms.config().session.freeze_threshold;
-  const SimDuration delay_target = config_.telemetry.slo.delay_target;
-  for (; slot.frame_cursor < frames.size(); ++slot.frame_cursor) {
-    const metrics::FrameRecord& f = frames[slot.frame_cursor];
-    ++slot.displayed_seen;
-    if (f.delay > freeze_threshold) ++slot.frozen_frames;
-    if (f.roi_mismatch) ++slot.mismatched;
-    if (f.delay > delay_target) ++slot.over_delay;
-    delay_hist_->observe(to_millis(f.delay));
-  }
-}
-
 void SoakDriver::observe_slo() {
   if (!config_.telemetry.telemetry_on()) return;
   const SimTime now = sim_.now();
   int breached[obs::kSloObjectives] = {};
   for (Slot& slot : slots_) {
     if (slot.ms.state() != SessionState::kActive) continue;
-    fold_slot_frames(slot);
-    const core::Session* session = slot.ms.session();
+    core::Session* session = slot.ms.session();
     if (!session) continue;
-    const obs::MetricsRegistry& reg = session->metrics().registry();
-    const std::int64_t lost =
-        reg.counter_value("sender.skipped_frames") +
-        session->observers().receiver->recovery_stats().frames_abandoned;
-    obs::SloSample sample;
-    sample.total = slot.displayed_seen + lost;
-    sample.frozen = slot.frozen_frames + lost;
-    sample.mismatched = slot.mismatched;
-    sample.over_delay = slot.over_delay;
     slo_evaluations_->inc();
-    // Breach/recovery instants land in the session's own trace when it was
-    // sampled, correlated by arrival id.
-    obs::TraceRecorder* trace =
-        slot.traced ? slot.ms.session()->trace() : nullptr;
     const obs::SloTransitions tr =
-        slot.slo.observe(now, sample, trace, slot.ms.id());
+        slot.slo.observe(now, *session, slot.ms.id(), *delay_hist_);
     for (int o = 0; o < obs::kSloObjectives; ++o) {
       if (tr.breached_now[o]) slo_breach_[o]->inc();
       if (tr.recovered_now[o]) slo_recovered_[o]->inc();
-      if (slot.slo.status().breached[o]) ++breached[o];
+      if (slot.slo.tracker().status().breached[o]) ++breached[o];
     }
   }
   for (int o = 0; o < obs::kSloObjectives; ++o) {
@@ -392,28 +356,26 @@ void SoakDriver::close_slot(std::size_t slot_index, CloseKind kind) {
 }
 
 void SoakDriver::close_slot_telemetry(Slot& slot, CloseKind kind) {
+  const core::Session* session = slot.ms.session();
   if (config_.telemetry.telemetry_on()) {
     closed_by_kind_[static_cast<int>(kind)]->inc();
-    fold_slot_frames(slot);  // consume the tail since the last snapshot tick
-    const core::Session* session = slot.ms.session();
     if (session) {
+      // Consume the tail since the last snapshot tick.
+      slot.slo.fold(*session, *delay_hist_);
       freeze_hist_->observe(session->metrics().freeze_ratio(
           slot.ms.config().session.freeze_threshold));
     }
   }
-  if (slot.traced) {
-    const core::Session* session = slot.ms.session();
-    if (session && session->trace()) {
+  if (slot.slo.traced()) {
+    if (session) {
       runner::RunSpec rs;
       rs.run_id = static_cast<int>(slot.ms.id());
       rs.experiment = "soak";
       rs.seed = slot.ms.config().session.seed;
-      runner::write_trace(
-          config_.telemetry.trace_dir + "/" + runner::trace_file_name(rs),
-          *session->trace(), "soak#" + std::to_string(slot.ms.id()));
+      write_session_trace(config_.telemetry.trace_dir, rs, *session,
+                          "soak#" + std::to_string(slot.ms.id()));
     }
     sampler_.release();
-    slot.traced = false;
   }
 }
 
@@ -423,13 +385,14 @@ void SoakDriver::harvest(const ManagedSession& ms) {
   const metrics::SessionMetrics& m = session->metrics();
   const obs::MetricsRegistry& reg = m.registry();
 
-  const std::int64_t skipped = reg.counter_value("sender.skipped_frames");
-  const std::int64_t abandoned =
-      session->observers().receiver->recovery_stats().frames_abandoned;
+  // Lost frames are sender skips plus receiver abandons and cap evictions;
+  // the latter two count as serve.frames.abandoned.
+  const std::int64_t skipped = m.skipped_frames();
+  const std::int64_t lost = session->lost_frames();
   registry_.counter("serve.frames.displayed")
       .inc(reg.counter_value("frame.displayed"));
   registry_.counter("serve.frames.skipped").inc(skipped);
-  registry_.counter("serve.frames.abandoned").inc(abandoned);
+  registry_.counter("serve.frames.abandoned").inc(lost - skipped);
 
   // Scalar aggregation only: the per-frame vectors die with the session, so
   // soak memory stays bounded by the live population, not the run length.
@@ -441,7 +404,7 @@ void SoakDriver::harvest(const ManagedSession& ms) {
     psnr_h.observe(f.roi_psnr_db);
     if (f.delay > ms.config().session.freeze_threshold) ++frozen;
   }
-  registry_.counter("serve.frames.frozen").inc(frozen + skipped + abandoned);
+  registry_.counter("serve.frames.frozen").inc(frozen + lost);
   registry_.histogram("serve.session.call_s")
       .observe(to_seconds(ms.config().planned_duration));
 }
@@ -538,50 +501,37 @@ std::string to_text(const SoakSummary& s) {
 }
 
 std::string to_json(const SoakSummary& s) {
-  std::string out = "{\n";
-  out += "  \"schema\": \"poi360.soak.v1\",\n";
-  out += "  \"seed\": " + std::to_string(s.seed) + ",\n";
-  out += "  \"duration_s\": " + fmt("%.3f", to_seconds(s.duration)) + ",\n";
-  out += "  \"policy\": \"" + std::string(s.policy) + "\",\n";
-  out += "  \"arrivals\": " + std::to_string(s.arrivals) + ",\n";
-  out += "  \"accepted\": " + std::to_string(s.accepted) + ",\n";
-  out += "  \"degrade_admissions\": " + std::to_string(s.degrade_admissions) +
-         ",\n";
-  out += "  \"rejected_admission\": " + std::to_string(s.rejected_admission) +
-         ",\n";
-  out += "  \"rejected_pool_full\": " + std::to_string(s.rejected_pool_full) +
-         ",\n";
-  out += "  \"degrade_nudges\": " + std::to_string(s.degrade_nudges) + ",\n";
-  out += "  \"completed\": " + std::to_string(s.completed) + ",\n";
-  out += "  \"shutdown_drained\": " + std::to_string(s.shutdown_drained) +
-         ",\n";
-  out += "  \"force_drained\": " + std::to_string(s.force_drained) + ",\n";
-  out += "  \"failed\": " + std::to_string(s.failed) + ",\n";
-  out += "  \"live_at_end\": " + std::to_string(s.live_at_end) + ",\n";
-  out += "  \"slots\": " + std::to_string(s.slots) + ",\n";
-  out += "  \"peak_concurrent\": " + std::to_string(s.peak_concurrent) + ",\n";
-  out += "  \"pool_high_water_warmup\": " +
-         std::to_string(s.pool_high_water_warmup) + ",\n";
-  out += "  \"pool_high_water_end\": " +
-         std::to_string(s.pool_high_water_end) + ",\n";
-  out += "  \"registry_entries_warmup\": " +
-         std::to_string(s.registry_entries_warmup) + ",\n";
-  out += "  \"registry_entries_end\": " +
-         std::to_string(s.registry_entries_end) + ",\n";
-  out += "  \"frames_displayed\": " + std::to_string(s.frames_displayed) +
-         ",\n";
-  out += "  \"frames_skipped\": " + std::to_string(s.frames_skipped) + ",\n";
-  out += "  \"frames_abandoned\": " + std::to_string(s.frames_abandoned) +
-         ",\n";
-  out += "  \"frames_frozen\": " + std::to_string(s.frames_frozen) + ",\n";
-  out += "  \"freeze_ratio\": " + fmt("%.6f", s.freeze_ratio) + ",\n";
-  out += "  \"mean_frame_delay_ms\": " + fmt("%.3f", s.mean_frame_delay_ms) +
-         ",\n";
-  out += "  \"snapshots_taken\": " + std::to_string(s.snapshots_taken) + ",\n";
-  out += "  \"snapshots_retained\": " + std::to_string(s.snapshots_retained) +
-         "\n";
-  out += "}\n";
-  return out;
+  common::Json j = common::Json::object();
+  j.set("schema", "poi360.soak.v1");
+  j.set("seed", s.seed);
+  j.set("duration_s", to_seconds(s.duration));
+  j.set("policy", s.policy);
+  j.set("arrivals", s.arrivals);
+  j.set("accepted", s.accepted);
+  j.set("degrade_admissions", s.degrade_admissions);
+  j.set("rejected_admission", s.rejected_admission);
+  j.set("rejected_pool_full", s.rejected_pool_full);
+  j.set("degrade_nudges", s.degrade_nudges);
+  j.set("completed", s.completed);
+  j.set("shutdown_drained", s.shutdown_drained);
+  j.set("force_drained", s.force_drained);
+  j.set("failed", s.failed);
+  j.set("live_at_end", s.live_at_end);
+  j.set("slots", s.slots);
+  j.set("peak_concurrent", s.peak_concurrent);
+  j.set("pool_high_water_warmup", s.pool_high_water_warmup);
+  j.set("pool_high_water_end", s.pool_high_water_end);
+  j.set("registry_entries_warmup", s.registry_entries_warmup);
+  j.set("registry_entries_end", s.registry_entries_end);
+  j.set("frames_displayed", s.frames_displayed);
+  j.set("frames_skipped", s.frames_skipped);
+  j.set("frames_abandoned", s.frames_abandoned);
+  j.set("frames_frozen", s.frames_frozen);
+  j.set("freeze_ratio", s.freeze_ratio);
+  j.set("mean_frame_delay_ms", s.mean_frame_delay_ms);
+  j.set("snapshots_taken", s.snapshots_taken);
+  j.set("snapshots_retained", s.snapshots_retained);
+  return j.dump(2) + "\n";
 }
 
 }  // namespace poi360::serve

@@ -106,7 +106,7 @@ struct SoakSummary {
 
   std::int64_t frames_displayed = 0;
   std::int64_t frames_skipped = 0;
-  std::int64_t frames_abandoned = 0;
+  std::int64_t frames_abandoned = 0;  ///< receiver deadline + cap evictions
   std::int64_t frames_frozen = 0;
   double freeze_ratio = 0.0;
   double mean_frame_delay_ms = 0.0;
@@ -152,14 +152,9 @@ class SoakDriver {
   struct Slot {
     ManagedSession ms;
     std::uint64_t generation = 0;  ///< guards stale departure events
-    // Telemetry-plane state, touched only when config.telemetry is on.
-    obs::SloTracker slo{};
-    std::size_t frame_cursor = 0;   ///< frames already folded into SLO counts
-    std::int64_t displayed_seen = 0;
-    std::int64_t frozen_frames = 0;
-    std::int64_t mismatched = 0;
-    std::int64_t over_delay = 0;
-    bool traced = false;  ///< sampled: recorder on, exported at close
+    /// Telemetry-plane state: SLO counts are folded only when
+    /// config.telemetry is on; a traced session is exported at close.
+    SessionSlo slo;
   };
   enum class CloseKind { kDeparture, kWatchdog, kShutdown, kFailed };
 
@@ -178,9 +173,6 @@ class SoakDriver {
 
   // Telemetry plane (no-ops when config.telemetry is off).
   void register_telemetry();
-  /// Folds frames past the slot's cursor into its cumulative SLO counts and
-  /// the delay bucket histogram.
-  void fold_slot_frames(Slot& slot);
   /// Evaluates every active session's SLO trackers (snapshot tick).
   void observe_slo();
   void close_slot_telemetry(Slot& slot, CloseKind kind);

@@ -5,10 +5,12 @@
 #include <string>
 
 #include "poi360/common/time.h"
+#include "poi360/core/session.h"
 #include "poi360/obs/metrics_http.h"
 #include "poi360/obs/metrics_registry.h"
 #include "poi360/obs/sampling.h"
 #include "poi360/obs/slo.h"
+#include "poi360/runner/experiment_spec.h"
 
 // The serving layer's live telemetry plane. Everything here is opt-in: with
 // `enabled` false and no metrics port, the drivers register no extra
@@ -81,5 +83,58 @@ class TelemetryPlane {
   obs::MetricsRegistry master_;
   std::unique_ptr<obs::MetricsHttpServer> server_;
 };
+
+/// One served session's SLO bookkeeping, shared by the soak and fleet
+/// drivers: the burn-rate tracker, cumulative frame counts folded
+/// incrementally from the session's frame records (a cursor marks what is
+/// already counted), and whether the session was sampled for trace export.
+class SessionSlo {
+ public:
+  SessionSlo() = default;
+  explicit SessionSlo(const obs::SloConfig& config, bool traced = false)
+      : tracker_(config), traced_(traced) {}
+
+  /// Forgets every count and the tracker history for a new session (slot
+  /// reuse).
+  void reset(bool traced);
+
+  /// Folds the frames displayed since the last fold into the counts and
+  /// observes each one's delay (ms) into `delay_hist`.
+  void fold(const core::Session& session, obs::BucketHistogram& delay_hist);
+
+  /// Folds, then feeds the tracker the cumulative sample at `now`; lost
+  /// frames (`core::Session::lost_frames`) count as handled and frozen.
+  /// Breach/recovery instants land in the session's own trace when it was
+  /// sampled, correlated by `id`.
+  obs::SloTransitions observe(SimTime now, core::Session& session,
+                              std::int64_t id,
+                              obs::BucketHistogram& delay_hist);
+
+  std::int64_t displayed() const { return displayed_; }
+  /// Displayed frames over the session's freeze threshold.
+  std::int64_t frozen() const { return frozen_; }
+  std::int64_t mismatched() const { return mismatched_; }
+  /// Lost frames as of the last `observe`.
+  std::int64_t lost() const { return lost_; }
+  const obs::SloTracker& tracker() const { return tracker_; }
+  bool traced() const { return traced_; }
+
+ private:
+  obs::SloTracker tracker_{};
+  std::size_t cursor_ = 0;  ///< frames already folded
+  std::int64_t displayed_ = 0;
+  std::int64_t frozen_ = 0;
+  std::int64_t mismatched_ = 0;
+  std::int64_t over_delay_ = 0;
+  std::int64_t lost_ = 0;
+  bool traced_ = false;
+};
+
+/// Writes a sampled session's trace to `dir`/`runner::trace_file_name(spec)`
+/// under the process name `label`; a session without a recorder writes
+/// nothing.
+void write_session_trace(const std::string& dir, const runner::RunSpec& spec,
+                         const core::Session& session,
+                         const std::string& label);
 
 }  // namespace poi360::serve

@@ -4,26 +4,16 @@
 #include <cstddef>
 #include <cstdint>
 
-#if defined(POI360_SIMD)
-#include <experimental/simd>
-#endif
-
 namespace poi360::video::kernels {
 
 /// Contiguous structure-of-arrays kernels for the encoder-path hot loops:
 /// the intra-refresh upgrade scan, the foveated ring-MSE accumulation, and
-/// the level-LUT gather that materializes a compression matrix. Each kernel
-/// has a portable scalar implementation — the reference the differential
-/// tests pin everything else to — and, behind the `POI360_SIMD` CMake flag,
-/// a `std::experimental::simd` variant that the unsuffixed entry points
-/// dispatch to.
+/// the level-LUT gather that materializes a compression matrix.
 ///
-/// The scalar kernels accumulate strictly left-to-right over the input,
-/// i.e. the exact order of the per-tile loops they replaced, so their sums
-/// are bit-identical to the pre-kernel code. The SIMD variants reassociate
-/// the reduction across lanes (that is the point) and may therefore differ
-/// from the scalar path in the last ulp; the scalar-vs-SIMD differential
-/// suite bounds that divergence.
+/// The kernels accumulate strictly left-to-right over the input, i.e. the
+/// exact order of the per-tile loops they replaced, so their sums are
+/// bit-identical to the pre-kernel code (the differential tests pin them to
+/// verbatim copies of those loops).
 
 // ------------------------------------------------------------- refresh --
 
@@ -32,9 +22,8 @@ namespace poi360::video::kernels {
 /// in units of tiles. This is the per-tile scan PanoramicEncoder::encode
 /// used to run over the 12x8 matrix — two divides per tile — now two
 /// contiguous loads and a compare per tile.
-inline double upgrade_gain_sum_scalar(const double* inv_cur,
-                                      const double* inv_prev,
-                                      std::size_t n) {
+inline double upgrade_gain_sum(const double* inv_cur, const double* inv_prev,
+                               std::size_t n) {
   double sum = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
     const double gain = inv_cur[k] - inv_prev[k];
@@ -49,9 +38,8 @@ inline double upgrade_gain_sum_scalar(const double* inv_cur,
 /// on the matrix, `enc_mse = 10^(-enc_psnr/10)` is per-call, and the min
 /// applies the QualityModel's PSNR floor tile by tile — `10^(-max(a,b)/10)
 /// = min(10^(-a/10), 10^(-b/10))` because the map is monotone decreasing.
-inline double ring_mse_sum_scalar(const double* factors,
-                                  const std::int32_t* idx, int n,
-                                  double enc_mse, double floor_mse) {
+inline double ring_mse_sum(const double* factors, const std::int32_t* idx,
+                           int n, double enc_mse, double floor_mse) {
   double sum = 0.0;
   for (int k = 0; k < n; ++k) {
     sum += std::min(floor_mse, enc_mse * factors[idx[k]]);
@@ -63,83 +51,9 @@ inline double ring_mse_sum_scalar(const double* factors,
 /// (levels, log2 levels, inverse levels, MSE factors) out of a per-mode
 /// distance LUT using TileGridTables' per-center index map. A gather of
 /// identical values is bit-identical however it is vectorized.
-inline void gather_scalar(const double* src, const std::int32_t* idx,
-                          std::size_t n, double* out) {
-  for (std::size_t k = 0; k < n; ++k) out[k] = src[idx[k]];
-}
-
-// ---------------------------------------------------------- simd lanes --
-
-#if defined(POI360_SIMD)
-
-namespace stdx = std::experimental;
-
-inline double upgrade_gain_sum_simd(const double* inv_cur,
-                                    const double* inv_prev, std::size_t n) {
-  using simd_t = stdx::native_simd<double>;
-  const std::size_t lanes = simd_t::size();
-  simd_t acc(0.0);
-  std::size_t k = 0;
-  for (; k + lanes <= n; k += lanes) {
-    simd_t cur, prev;
-    cur.copy_from(inv_cur + k, stdx::element_aligned);
-    prev.copy_from(inv_prev + k, stdx::element_aligned);
-    simd_t gain = cur - prev;
-    stdx::where(gain < 0.0, gain) = 0.0;
-    acc += gain;
-  }
-  double sum = stdx::reduce(acc);
-  for (; k < n; ++k) {
-    const double gain = inv_cur[k] - inv_prev[k];
-    if (gain > 0.0) sum += gain;
-  }
-  return sum;
-}
-
-inline double ring_mse_sum_simd(const double* factors,
-                                const std::int32_t* idx, int n,
-                                double enc_mse, double floor_mse) {
-  using simd_t = stdx::native_simd<double>;
-  constexpr int lanes = static_cast<int>(simd_t::size());
-  const simd_t enc(enc_mse), floor(floor_mse);
-  simd_t acc(0.0);
-  int k = 0;
-  for (; k + lanes <= n; k += lanes) {
-    simd_t f([&](auto lane) { return factors[idx[k + lane]]; });
-    acc += stdx::min(floor, enc * f);
-  }
-  double sum = stdx::reduce(acc);
-  for (; k < n; ++k) {
-    sum += std::min(floor_mse, enc_mse * factors[idx[k]]);
-  }
-  return sum;
-}
-
-#endif  // POI360_SIMD
-
-// ------------------------------------------------------------ dispatch --
-
-inline double upgrade_gain_sum(const double* inv_cur, const double* inv_prev,
-                               std::size_t n) {
-#if defined(POI360_SIMD)
-  return upgrade_gain_sum_simd(inv_cur, inv_prev, n);
-#else
-  return upgrade_gain_sum_scalar(inv_cur, inv_prev, n);
-#endif
-}
-
-inline double ring_mse_sum(const double* factors, const std::int32_t* idx,
-                           int n, double enc_mse, double floor_mse) {
-#if defined(POI360_SIMD)
-  return ring_mse_sum_simd(factors, idx, n, enc_mse, floor_mse);
-#else
-  return ring_mse_sum_scalar(factors, idx, n, enc_mse, floor_mse);
-#endif
-}
-
 inline void gather(const double* src, const std::int32_t* idx, std::size_t n,
                    double* out) {
-  gather_scalar(src, idx, n, out);
+  for (std::size_t k = 0; k < n; ++k) out[k] = src[idx[k]];
 }
 
 }  // namespace poi360::video::kernels

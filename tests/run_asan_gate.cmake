@@ -5,9 +5,7 @@
 # Variables: SRC_DIR, GATE_DIR, SANITIZE (address|thread, default address),
 # BINS (space-separated binary names, default rtp + chaos), RUN_ARGS
 # (optional space-separated arguments appended to every binary invocation,
-# e.g. a --gtest_filter that keeps a soak suite short under the sanitizer),
-# CONFIG_ARGS (optional extra -D flags for the nested configure, e.g.
-# -DPOI360_SIMD=ON for the scalar-vs-SIMD differential gate).
+# e.g. a --gtest_filter that keeps a soak suite short under the sanitizer).
 
 if(NOT SANITIZE)
   set(SANITIZE address)
@@ -17,13 +15,11 @@ if(NOT BINS)
 endif()
 separate_arguments(bins_list UNIX_COMMAND "${BINS}")
 separate_arguments(run_args_list UNIX_COMMAND "${RUN_ARGS}")
-separate_arguments(config_args_list UNIX_COMMAND "${CONFIG_ARGS}")
 
 if(NOT EXISTS ${GATE_DIR}/CMakeCache.txt)
   execute_process(
     COMMAND ${CMAKE_COMMAND} -S ${SRC_DIR} -B ${GATE_DIR}
       -DPOI360_SANITIZE=${SANITIZE} -DCMAKE_BUILD_TYPE=RelWithDebInfo
-      ${config_args_list}
     RESULT_VARIABLE config_rc)
   if(NOT config_rc EQUAL 0)
     message(FATAL_ERROR

@@ -1,8 +1,8 @@
-// Fleet-layer tests: the SharedCell proportional-fair scheduler (including
-// the draw-identity contract against MultiUserCell that keeps single-session
-// runs byte-identical), the admission controller's fleet pricing, and the
-// FleetDriver end-to-end gates (FleetGate.*) that the fleet sanitizer gates
-// re-run under asan/tsan.
+// Fleet-layer tests: the SharedCell proportional-fair scheduler with
+// registered UEs, the admission controller's pricing, and the FleetDriver
+// end-to-end gates (FleetGate.*) that the fleet sanitizer gates re-run under
+// asan/tsan. The background process's draw-identity contract lives in
+// test_lte_shared_cell.cpp.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "poi360/lte/multi_user.h"
+#include "poi360/common/json.h"
 #include "poi360/lte/shared_cell.h"
 #include "poi360/serve/admission.h"
 #include "poi360/serve/fleet_driver.h"
@@ -19,25 +19,6 @@
 using namespace poi360;
 
 namespace {
-
-// The tentpole degenerate-case contract: one registered unit-weight UE must
-// see, draw for draw and bit for bit, the share sequence MultiUserCell's
-// foreground sees for the same seed and query grid. This is what keeps every
-// pre-existing single-session bench byte-identical after the uplink moved to
-// the CellHandle seam.
-TEST(SharedCell, DegenerateShareMatchesMultiUserCellDraws) {
-  const std::uint64_t seed = 77;
-  lte::MultiUserCell::Config bg;
-  lte::MultiUserCell legacy(bg, seed);
-  lte::SharedCell cell(lte::SharedCell::Config{bg}, seed);
-  const int ue = cell.register_ue(1.0);
-  cell.report_demand(ue, 1);
-  cell.commit_demand();
-  for (SimTime t = 0; t <= sec(5); t += msec(1)) {
-    ASSERT_DOUBLE_EQ(legacy.foreground_share(t), cell.share(ue, t))
-        << "diverged at t=" << t;
-  }
-}
 
 TEST(SharedCell, SharesSplitAmongBackloggedUes) {
   // No background users: shares are a pure function of the committed demand.
@@ -143,28 +124,16 @@ TEST(CellHandle, DetachedHandleIsInert) {
   handle.report_backlog(1000);  // must be a no-op, not a crash
 }
 
+// The controller's own cell prices arrivals: with no background users the
+// share is 1.0, and admitted demand is reserved out of the headroom.
 TEST(Admission, AttachedCellDrivesHeadroom) {
   serve::AdmissionController::Config config;
-  config.cell.background_users = 0;  // private model: full share
+  config.cell.background_users = 0;  // full share
   serve::AdmissionController admission(config, 1);
   const Bitrate base = admission.headroom(msec(1));
   EXPECT_DOUBLE_EQ(config.cell_capacity * config.headroom_fraction, base);
 
-  // Fleet mode: three committed unit-weight UEs, no background — an arrival
-  // would be the fourth backlogged unit, so it is priced at a quarter share,
-  // and the static admitted_demand reservation is not double-counted.
-  lte::SharedCell::Config cell_config;
-  cell_config.background.background_users = 0;
-  lte::SharedCell cell(cell_config, 1);
-  for (int i = 0; i < 3; ++i) {
-    cell.report_demand(cell.register_ue(1.0), 1000);
-  }
-  cell.commit_demand();
-  admission.attach_cell(&cell);
-  admission.on_admitted(mbps(100));  // would zero out the static path
-  EXPECT_DOUBLE_EQ(base / 4.0, admission.headroom(msec(2)));
-
-  admission.attach_cell(nullptr);
+  admission.on_admitted(mbps(100));
   EXPECT_DOUBLE_EQ(base - mbps(100), admission.headroom(msec(3)));
 }
 
@@ -249,6 +218,97 @@ TEST(FleetGate, ContentionDepressesPerSessionThroughput) {
   ASSERT_EQ(0, crowded.failed_sessions);
   EXPECT_LT(crowded.mean_throughput_mbps,
             0.7 * solo.mean_throughput_mbps);
+}
+
+std::vector<std::string> keys_of(const common::Json& j) {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : j.items()) keys.push_back(key);
+  return keys;
+}
+
+void expect_percentiles(const common::Json& j,
+                        const serve::FleetPercentiles& p) {
+  EXPECT_EQ(keys_of(j), (std::vector<std::string>{"p10", "p50", "p90", "p99"}));
+  EXPECT_EQ(j.at("p10").as_double(), p.p10);
+  EXPECT_EQ(j.at("p50").as_double(), p.p50);
+  EXPECT_EQ(j.at("p90").as_double(), p.p90);
+  EXPECT_EQ(j.at("p99").as_double(), p.p99);
+}
+
+// The summary JSON is built as a common::Json: parsing it back yields
+// exactly the v1 keys and nesting, and every number unchanged.
+TEST(FleetSummaryJson, ParsesBackToTheV1KeysAndExactNumbers) {
+  serve::FleetConfig config = small_fleet();
+  config.sessions_per_cell = 2;
+  config.duration = sec(4);
+  const serve::FleetSummary s = serve::FleetDriver(config).run();
+  const common::Json j = common::Json::parse(serve::to_json(s));
+
+  EXPECT_EQ(keys_of(j),
+            (std::vector<std::string>{
+                "schema", "seed", "cells", "sessions_per_cell", "duration_s",
+                "failed_sessions", "freeze_ratio", "mismatch_ratio",
+                "frame_delay_ms", "mean_throughput_mbps", "jain_all",
+                "jain_by_rung", "sessions"}));
+  EXPECT_EQ(j.at("schema").as_string(), "poi360.fleet.v1");
+  EXPECT_EQ(j.get_u64("seed", 0), s.seed);
+  EXPECT_EQ(j.at("cells").as_i64(), s.cells);
+  EXPECT_EQ(j.at("sessions_per_cell").as_i64(), s.sessions_per_cell);
+  EXPECT_EQ(j.at("duration_s").as_double(), to_seconds(s.duration));
+  EXPECT_EQ(j.at("failed_sessions").as_i64(), s.failed_sessions);
+  expect_percentiles(j.at("freeze_ratio"), s.freeze);
+  expect_percentiles(j.at("mismatch_ratio"), s.mismatch);
+  expect_percentiles(j.at("frame_delay_ms"), s.delay_ms);
+  EXPECT_EQ(j.at("mean_throughput_mbps").as_double(), s.mean_throughput_mbps);
+  EXPECT_EQ(j.at("jain_all").as_double(), s.jain_all);
+
+  const common::Json& jain = j.at("jain_by_rung");
+  ASSERT_EQ(jain.items().size(), s.jain_by_rung.size());
+  for (const auto& [rung, index] : s.jain_by_rung) {
+    EXPECT_EQ(jain.at(rung).as_double(), index) << rung;
+  }
+
+  const common::Json& rows = j.at("sessions");
+  ASSERT_EQ(rows.size(), s.sessions.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const common::Json& row = rows.at(i);
+    const serve::FleetSessionResult& r = s.sessions[i];
+    EXPECT_EQ(keys_of(row),
+              (std::vector<std::string>{"cell", "slot", "rung", "seed", "ok",
+                                        "displayed", "thpt_mbps", "freeze",
+                                        "mismatch", "delay_ms", "p95_ms",
+                                        "psnr_db"}));
+    EXPECT_EQ(row.at("cell").as_i64(), r.cell);
+    EXPECT_EQ(row.at("slot").as_i64(), r.index);
+    EXPECT_EQ(row.at("rung").as_string(), r.rung);
+    EXPECT_EQ(row.get_u64("seed", 0), r.seed);
+    EXPECT_EQ(row.at("ok").as_bool(), r.ok);
+    EXPECT_EQ(row.at("displayed").as_i64(), r.displayed_frames);
+    EXPECT_EQ(row.at("thpt_mbps").as_double(), r.mean_throughput_mbps);
+    EXPECT_EQ(row.at("freeze").as_double(), r.freeze_ratio);
+    EXPECT_EQ(row.at("mismatch").as_double(), r.mismatch_ratio);
+    EXPECT_EQ(row.at("delay_ms").as_double(), r.mean_delay_ms);
+    EXPECT_EQ(row.at("p95_ms").as_double(), r.p95_delay_ms);
+    EXPECT_EQ(row.at("psnr_db").as_double(), r.mean_roi_psnr_db);
+  }
+}
+
+// A session that throws is reported failed with its error; the cell and the
+// rest of the fleet carry on.
+TEST(Fleet, SessionFailureIsReportedNotThrown) {
+  serve::FleetConfig config = small_fleet();
+  config.cells = 1;
+  config.sessions_per_cell = 2;
+  config.duration = sec(1);
+  config.session.uplink.bsr_delay = msec(3);  // off the grant cadence: throws
+  const serve::FleetSummary s = serve::FleetDriver(config).run();
+  ASSERT_EQ(2u, s.sessions.size());
+  EXPECT_EQ(2, s.failed_sessions);
+  for (const serve::FleetSessionResult& r : s.sessions) {
+    EXPECT_FALSE(r.ok);
+    EXPECT_FALSE(r.error.empty());
+  }
+  EXPECT_NE(serve::to_text(s).find("FAILED: "), std::string::npos);
 }
 
 TEST(Fleet, RunIsSingleShot) {

@@ -13,8 +13,11 @@
 #include <filesystem>
 #include <string>
 
+#include "poi360/common/json.h"
 #include "poi360/core/config.h"
+#include "poi360/core/session.h"
 #include "poi360/obs/metrics_registry.h"
+#include "poi360/runner/experiment_spec.h"
 #include "poi360/serve/admission.h"
 #include "poi360/serve/managed_session.h"
 #include "poi360/serve/soak_driver.h"
@@ -296,6 +299,59 @@ TEST(SoakDriver, SnapshotWindowRollsDropOldest) {
   EXPECT_NE(window[3].text.find("poi360_serve_arrivals"), std::string::npos);
 }
 
+// One 20 s call whose receiver keeps at most two frames in assembly while
+// bursts drop packets, so incomplete frames get evicted by the cap.
+SoakConfig evicting_soak(std::uint64_t seed) {
+  SoakConfig config;
+  config.duration = sec(60);
+  config.seed = seed;
+  config.mean_interarrival = sec(20);
+  config.min_call = sec(20);
+  config.mean_call = sec(20);  // every call lasts exactly min_call
+  config.slots = 1;
+  config.session = short_session_template();
+  config.session.receiver.max_assemblies = 2;
+  config.session.media_chaos.ge_p_good_bad = 0.02;
+  config.session.media_chaos.ge_p_bad_good = 0.2;
+  config.session.media_chaos.ge_loss_bad = 0.95;
+  return config;
+}
+
+// Receiver cap evictions are lost frames, like sender skips and deadline
+// abandons: SessionMetrics::freeze_ratio counts them frozen, and so must the
+// soak summary. Seed 1 admits exactly one call, which runs to its natural
+// end, so the summary must equal a standalone run of that call.
+TEST(SoakDriver, AssemblyEvictionsReachTheFrozenCount) {
+  const SoakConfig config = evicting_soak(1);
+  const SoakSummary s = SoakDriver(config).run();
+  ASSERT_EQ(s.arrivals, 1);
+  ASSERT_EQ(s.completed, 1);
+  ASSERT_EQ(s.shutdown_drained, 0);
+
+  core::SessionConfig c = config.session;
+  c.seed = runner::derive_seed(config.seed, 0);
+  c.duration = config.min_call;
+  core::Session session(c);
+  session.run();
+  const auto& rec = session.observers().receiver->recovery_stats();
+  ASSERT_GT(rec.assembly_evictions, 0);
+  EXPECT_EQ(session.lost_frames(), session.metrics().skipped_frames() +
+                                       rec.frames_abandoned +
+                                       rec.assembly_evictions);
+
+  std::int64_t late = 0;
+  for (const auto& f : session.metrics().frames()) {
+    if (f.delay > c.freeze_threshold) ++late;
+  }
+  EXPECT_EQ(s.frames_displayed, session.metrics().displayed_frames());
+  EXPECT_EQ(s.frames_skipped, session.metrics().skipped_frames());
+  EXPECT_EQ(s.frames_abandoned,
+            rec.frames_abandoned + rec.assembly_evictions);
+  EXPECT_EQ(s.frames_frozen, late + session.lost_frames());
+  EXPECT_DOUBLE_EQ(s.freeze_ratio,
+                   session.metrics().freeze_ratio(c.freeze_threshold));
+}
+
 // ---------------------------------------------------------------------------
 // Exposition formats.
 
@@ -342,6 +398,58 @@ TEST(SoakSummaryJson, CarriesTheFullSchema) {
     EXPECT_NE(json.find("\"" + std::string(key) + "\": "), std::string::npos)
         << "missing key " << key;
   }
+}
+
+// The summary JSON is built as a common::Json: parsing it back yields
+// exactly the v1 keys, in order, and every number unchanged.
+TEST(SoakSummaryJson, ParsesBackToTheV1KeysAndExactNumbers) {
+  SoakConfig config = small_soak(4);
+  config.stuck_arrivals = {2};
+  const SoakSummary s = SoakDriver(config).run();
+  const common::Json j = common::Json::parse(to_json(s));
+
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : j.items()) keys.push_back(key);
+  const std::vector<std::string> v1 = {
+      "schema", "seed", "duration_s", "policy", "arrivals", "accepted",
+      "degrade_admissions", "rejected_admission", "rejected_pool_full",
+      "degrade_nudges", "completed", "shutdown_drained", "force_drained",
+      "failed", "live_at_end", "slots", "peak_concurrent",
+      "pool_high_water_warmup", "pool_high_water_end",
+      "registry_entries_warmup", "registry_entries_end", "frames_displayed",
+      "frames_skipped", "frames_abandoned", "frames_frozen", "freeze_ratio",
+      "mean_frame_delay_ms", "snapshots_taken", "snapshots_retained"};
+  EXPECT_EQ(keys, v1);
+
+  EXPECT_EQ(j.at("schema").as_string(), "poi360.soak.v1");
+  EXPECT_EQ(j.get_u64("seed", 0), s.seed);
+  EXPECT_EQ(j.at("duration_s").as_double(), to_seconds(s.duration));
+  EXPECT_EQ(j.at("policy").as_string(), s.policy);
+  EXPECT_EQ(j.at("arrivals").as_i64(), s.arrivals);
+  EXPECT_EQ(j.at("accepted").as_i64(), s.accepted);
+  EXPECT_EQ(j.at("degrade_admissions").as_i64(), s.degrade_admissions);
+  EXPECT_EQ(j.at("rejected_admission").as_i64(), s.rejected_admission);
+  EXPECT_EQ(j.at("rejected_pool_full").as_i64(), s.rejected_pool_full);
+  EXPECT_EQ(j.at("degrade_nudges").as_i64(), s.degrade_nudges);
+  EXPECT_EQ(j.at("completed").as_i64(), s.completed);
+  EXPECT_EQ(j.at("shutdown_drained").as_i64(), s.shutdown_drained);
+  EXPECT_EQ(j.at("force_drained").as_i64(), s.force_drained);
+  EXPECT_EQ(j.at("failed").as_i64(), s.failed);
+  EXPECT_EQ(j.at("live_at_end").as_i64(), s.live_at_end);
+  EXPECT_EQ(j.at("slots").as_i64(), s.slots);
+  EXPECT_EQ(j.at("peak_concurrent").as_i64(), s.peak_concurrent);
+  EXPECT_EQ(j.at("pool_high_water_warmup").as_i64(), s.pool_high_water_warmup);
+  EXPECT_EQ(j.at("pool_high_water_end").as_i64(), s.pool_high_water_end);
+  EXPECT_EQ(j.get_u64("registry_entries_warmup", 0), s.registry_entries_warmup);
+  EXPECT_EQ(j.get_u64("registry_entries_end", 0), s.registry_entries_end);
+  EXPECT_EQ(j.at("frames_displayed").as_i64(), s.frames_displayed);
+  EXPECT_EQ(j.at("frames_skipped").as_i64(), s.frames_skipped);
+  EXPECT_EQ(j.at("frames_abandoned").as_i64(), s.frames_abandoned);
+  EXPECT_EQ(j.at("frames_frozen").as_i64(), s.frames_frozen);
+  EXPECT_EQ(j.at("freeze_ratio").as_double(), s.freeze_ratio);
+  EXPECT_EQ(j.at("mean_frame_delay_ms").as_double(), s.mean_frame_delay_ms);
+  EXPECT_EQ(j.get_u64("snapshots_taken", 0), s.snapshots_taken);
+  EXPECT_EQ(j.get_u64("snapshots_retained", 0), s.snapshots_retained);
 }
 
 // ---------------------------------------------------------------------------
