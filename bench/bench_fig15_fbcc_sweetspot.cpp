@@ -28,9 +28,9 @@ void summarize(const char* label,
   RunningStats bins[kBins + 1];
 
   for (const auto& run : runs) {
-    for (const auto& p : run.buffer_tbs()) {
-      const double kb = static_cast<double>(p.buffer_bytes) / 1024.0;
-      const double mb = to_mbps(p.ul_tbs_per_s);
+    for (const auto& r : run.rate_samples()) {
+      const double kb = static_cast<double>(r.fw_buffer_bytes) / 1024.0;
+      const double mb = to_mbps(r.rphy);
       ++total;
       buffer_kb.add(kb);
       tbs_mbps.add(mb);

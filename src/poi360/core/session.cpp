@@ -534,11 +534,8 @@ void Session::on_diag(const lte::DiagReport& report) {
     pacer_->set_rate(fbcc_->rtp_rate());
   }
 
-  const Bitrate rphy1s = trailing_rphy(sec(1));
-  record_rate_sample(report.time, report.buffer_bytes, rphy1s,
+  record_rate_sample(report.time, report.buffer_bytes, trailing_rphy(sec(1)),
                      fbcc_ && fbcc_->congested());
-  metrics_.add_buffer_tbs_point(
-      {report.time, report.buffer_bytes, rphy1s});
 }
 
 Bitrate Session::trailing_rphy(SimDuration window) const {

@@ -102,33 +102,6 @@ std::string rate_csv_row(const RateSample& s) {
   return join_values(rate_csv_columns(), s);
 }
 
-void SessionMetrics::add_frame(const FrameRecord& record) {
-  frames_.push_back(record);
-  registry_.counter("frame.displayed").inc();
-  if (record.roi_mismatch) registry_.counter("frame.roi_mismatch").inc();
-  registry_.histogram("frame.delay_ms").observe(to_millis(record.delay));
-  registry_.histogram("frame.roi_psnr_db").observe(record.roi_psnr_db);
-}
-
-void SessionMetrics::add_rate_sample(const RateSample& sample) {
-  rate_samples_.push_back(sample);
-  registry_.counter("rate.samples").inc();
-  if (sample.congested) registry_.counter("rate.congested_samples").inc();
-  if (sample.fbcc_degraded) registry_.counter("rate.degraded_samples").inc();
-  registry_.histogram("rate.fw_buffer_kb")
-      .observe(static_cast<double>(sample.fw_buffer_bytes) / 1024.0);
-  registry_.gauge("rate.video_bps").set(sample.video_rate);
-  registry_.gauge("rate.rtp_bps").set(sample.rtp_rate);
-}
-
-void SessionMetrics::add_buffer_tbs_point(const BufferTbsPoint& point) {
-  buffer_tbs_.push_back(point);
-}
-
-void SessionMetrics::add_throughput_second(Bitrate received_rate) {
-  throughput_bps_.push_back(received_rate);
-}
-
 void SessionMetrics::set_diag_robustness(const DiagRobustness& r) {
   registry_.counter("diag.fallback_episodes").set(r.fallback_episodes);
   registry_.counter("diag.degraded_time_us").set(r.degraded_time);
@@ -268,8 +241,11 @@ double SessionMetrics::std_video_rate() const {
 
 double SessionMetrics::degraded_sample_fraction() const {
   if (rate_samples_.empty()) return 0.0;
-  return static_cast<double>(
-             registry_.counter_value("rate.degraded_samples")) /
+  std::int64_t degraded = 0;
+  for (const auto& r : rate_samples_) {
+    if (r.fbcc_degraded) ++degraded;
+  }
+  return static_cast<double>(degraded) /
          static_cast<double>(rate_samples_.size());
 }
 
@@ -287,11 +263,8 @@ SessionMetrics merge(std::span<const SessionMetrics* const> runs) {
   for (const SessionMetrics* run : ordered) {
     for (const auto& f : run->frames()) all.add_frame(f);
     for (const auto& r : run->rate_samples()) all.add_rate_sample(r);
-    for (const auto& p : run->buffer_tbs()) all.add_buffer_tbs_point(p);
     for (double t : run->throughput_samples()) all.add_throughput_second(t);
-    for (std::int64_t s = 0; s < run->skipped_frames(); ++s) {
-      all.note_sender_skipped_frame();
-    }
+    all.skipped_frames_ += run->skipped_frames();
     const DiagRobustness dr = run->diag_robustness();
     robustness.fallback_episodes += dr.fallback_episodes;
     robustness.degraded_time += dr.degraded_time;

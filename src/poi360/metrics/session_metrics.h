@@ -87,34 +87,30 @@ struct TransportRobustness {
   SimDuration feedback_stale_time = 0;       // total time feedback was dark
 };
 
-/// Point for the Fig. 15-style scatter: buffer occupancy vs. trailing
-/// one-second uplink TBS throughput.
-struct BufferTbsPoint {
-  SimTime time = 0;
-  std::int64_t buffer_bytes = 0;
-  Bitrate ul_tbs_per_s = 0.0;
-};
-
 /// Collects per-session measurements and computes the aggregates each paper
 /// figure reports. Populated by core::Session; consumed by tests, examples
 /// and the bench harnesses.
 ///
-/// Scalar health counters live in an obs::MetricsRegistry rather than in
-/// hand-grown accumulator fields: the robustness structs above are views
-/// reassembled from registry counters, and new subsystems register counters
-/// without touching this class. The per-frame / per-sample vectors stay as
-/// raw storage because the paper's distribution figures (CDFs, pooled PDFs)
-/// need every sample, not moments.
+/// Each fact is stored once. Per-frame and per-sample facts live only in the
+/// columns (`frames()`, `rate_samples()`, `throughput_samples()`): the
+/// paper's distribution figures (CDFs, pooled PDFs, the Fig. 15 scatter)
+/// need every sample, and every aggregate below is computed from them. The
+/// registry holds only the `diag.*` / `transport.*` health counters that
+/// `core::Session::finish()` writes once; the robustness structs above are
+/// views reassembled from them.
 class SessionMetrics {
  public:
+  friend SessionMetrics merge(std::span<const SessionMetrics* const> runs);
+
   // -- ingestion ----------------------------------------------------------
-  void add_frame(const FrameRecord& record);
-  void add_rate_sample(const RateSample& sample);
-  void add_buffer_tbs_point(const BufferTbsPoint& point);
-  void add_throughput_second(Bitrate received_rate);
-  void note_sender_skipped_frame() {
-    registry_.counter("sender.skipped_frames").inc();
+  void add_frame(const FrameRecord& record) { frames_.push_back(record); }
+  void add_rate_sample(const RateSample& sample) {
+    rate_samples_.push_back(sample);
   }
+  void add_throughput_second(Bitrate received_rate) {
+    throughput_bps_.push_back(received_rate);
+  }
+  void note_sender_skipped_frame() { ++skipped_frames_; }
   void set_diag_robustness(const DiagRobustness& r);
   void set_transport_robustness(const TransportRobustness& r);
   /// Identity of the run these metrics came from (the runner assigns the
@@ -126,12 +122,10 @@ class SessionMetrics {
   // -- raw access ---------------------------------------------------------
   const std::vector<FrameRecord>& frames() const { return frames_; }
   const std::vector<RateSample>& rate_samples() const { return rate_samples_; }
-  const std::vector<BufferTbsPoint>& buffer_tbs() const { return buffer_tbs_; }
   const std::vector<double>& throughput_samples() const {
     return throughput_bps_;
   }
   const obs::MetricsRegistry& registry() const { return registry_; }
-  obs::MetricsRegistry& registry() { return registry_; }
 
   // -- aggregates (one per paper metric) -----------------------------------
   /// Mean / std of ROI PSNR across displayed frames (Fig. 11a/b bars).
@@ -167,9 +161,7 @@ class SessionMetrics {
   std::int64_t displayed_frames() const {
     return static_cast<std::int64_t>(frames_.size());
   }
-  std::int64_t skipped_frames() const {
-    return registry_.counter_value("sender.skipped_frames");
-  }
+  std::int64_t skipped_frames() const { return skipped_frames_; }
 
   DiagRobustness diag_robustness() const;
   TransportRobustness transport_robustness() const;
@@ -179,8 +171,8 @@ class SessionMetrics {
  private:
   std::vector<FrameRecord> frames_;
   std::vector<RateSample> rate_samples_;
-  std::vector<BufferTbsPoint> buffer_tbs_;
   std::vector<double> throughput_bps_;
+  std::int64_t skipped_frames_ = 0;
   obs::MetricsRegistry registry_;
   std::int64_t run_id_ = -1;
 };

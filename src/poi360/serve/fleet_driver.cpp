@@ -253,9 +253,7 @@ void FleetCell::publish_telemetry(SimTime t) {
     a.frozen += slot.slo.frozen();
     a.lost += slot.slo.lost();
     a.mismatched += slot.slo.mismatched();
-    const obs::Histogram* delay_h =
-        session->metrics().registry().find_histogram("frame.delay_ms");
-    if (delay_h) a.delay_sum_ms += delay_h->sum();
+    a.delay_sum_ms += slot.slo.delay_sum_ms();
   }
 
   for (std::size_t r = 0; r < rung_series_.size(); ++r) {

@@ -95,8 +95,7 @@ void ManagedSession::release() {
 
 std::int64_t ManagedSession::progress_marker() const {
   if (!session_) return 0;
-  return session_->metrics().registry().counter_value("frame.displayed") +
-         session_->lost_frames();
+  return session_->metrics().displayed_frames() + session_->lost_frames();
 }
 
 bool ManagedSession::observe_stuck(SimTime now) {

@@ -383,14 +383,12 @@ void SoakDriver::harvest(const ManagedSession& ms) {
   const core::Session* session = ms.session();
   if (!session) return;
   const metrics::SessionMetrics& m = session->metrics();
-  const obs::MetricsRegistry& reg = m.registry();
 
   // Lost frames are sender skips plus receiver abandons and cap evictions;
   // the latter two count as serve.frames.abandoned.
   const std::int64_t skipped = m.skipped_frames();
   const std::int64_t lost = session->lost_frames();
-  registry_.counter("serve.frames.displayed")
-      .inc(reg.counter_value("frame.displayed"));
+  registry_.counter("serve.frames.displayed").inc(m.displayed_frames());
   registry_.counter("serve.frames.skipped").inc(skipped);
   registry_.counter("serve.frames.abandoned").inc(lost - skipped);
 

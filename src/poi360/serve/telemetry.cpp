@@ -36,6 +36,7 @@ void SessionSlo::reset(bool traced) {
   mismatched_ = 0;
   over_delay_ = 0;
   lost_ = 0;
+  delay_sum_ms_ = 0.0;
   traced_ = traced;
 }
 
@@ -50,7 +51,9 @@ void SessionSlo::fold(const core::Session& session,
     if (f.delay > freeze_threshold) ++frozen_;
     if (f.roi_mismatch) ++mismatched_;
     if (f.delay > delay_target) ++over_delay_;
-    delay_hist.observe(to_millis(f.delay));
+    const double delay_ms = to_millis(f.delay);
+    delay_sum_ms_ += delay_ms;
+    delay_hist.observe(delay_ms);
   }
 }
 

@@ -99,7 +99,7 @@ class SessionSlo {
   void reset(bool traced);
 
   /// Folds the frames displayed since the last fold into the counts and
-  /// observes each one's delay (ms) into `delay_hist`.
+  /// observes each one's delay (ms) into `delay_hist` and `delay_sum_ms`.
   void fold(const core::Session& session, obs::BucketHistogram& delay_hist);
 
   /// Folds, then feeds the tracker the cumulative sample at `now`; lost
@@ -114,6 +114,8 @@ class SessionSlo {
   /// Displayed frames over the session's freeze threshold.
   std::int64_t frozen() const { return frozen_; }
   std::int64_t mismatched() const { return mismatched_; }
+  /// Sum of the displayed frames' delays in ms, added in display order.
+  double delay_sum_ms() const { return delay_sum_ms_; }
   /// Lost frames as of the last `observe`.
   std::int64_t lost() const { return lost_; }
   const obs::SloTracker& tracker() const { return tracker_; }
@@ -127,6 +129,7 @@ class SessionSlo {
   std::int64_t mismatched_ = 0;
   std::int64_t over_delay_ = 0;
   std::int64_t lost_ = 0;
+  double delay_sum_ms_ = 0.0;
   bool traced_ = false;
 };
 

@@ -370,6 +370,34 @@ TEST(FleetGate, TelemetryMasterIdenticalAcrossJobs) {
             std::string::npos);
 }
 
+// The per-rung mean-delay gauge is the display-weighted mean of the
+// sessions' frame delays, i.e. what each session's frames() column holds.
+TEST(FleetTelemetry, MeanDelayGaugeMatchesSessionFrames) {
+  serve::FleetConfig config = small_fleet();
+  config.cells = 1;
+  config.sessions_per_cell = 3;
+  config.ladder = {serve::FleetRung{core::RateControl::kFbcc,
+                                    core::CompressionScheme::kPoi360}};
+  config.telemetry.enabled = true;
+  serve::FleetDriver driver(config);
+  const serve::FleetSummary summary = driver.run();
+  ASSERT_EQ(3u, summary.sessions.size());
+
+  double delay_sum_ms = 0.0;
+  std::int64_t displayed = 0;
+  for (const serve::FleetSessionResult& r : summary.sessions) {
+    ASSERT_TRUE(r.ok) << r.error;
+    delay_sum_ms += r.mean_delay_ms * static_cast<double>(r.displayed_frames);
+    displayed += r.displayed_frames;
+  }
+  ASSERT_GT(displayed, 0);
+  const double gauge = driver.telemetry_plane()->registry().gauge_value(
+      "fleet.mean_delay_ms", {{"cell", "0"}, {"rung", "FBCC/POI360"}});
+  const double expected = delay_sum_ms / static_cast<double>(displayed);
+  EXPECT_GT(gauge, 0.0);
+  EXPECT_NEAR(gauge, expected, 1e-9 * expected);
+}
+
 TEST(FleetTelemetry, TraceSamplingExportsBoundedSubset) {
   serve::FleetConfig config = small_fleet();
   config.sessions_per_cell = 6;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "poi360/core/config.h"
+#include "poi360/core/session.h"
 #include "poi360/metrics/session_metrics.h"
 
 namespace poi360::metrics {
@@ -115,7 +117,6 @@ TEST(Metrics, MergePoolsEverything) {
   RateSample s;
   s.fw_buffer_bytes = 1024;
   b.add_rate_sample(s);
-  b.add_buffer_tbs_point({sec(1), 2048, mbps(3)});
 
   const SessionMetrics merged = merge({a, b});
   EXPECT_EQ(merged.displayed_frames(), 2);
@@ -123,8 +124,45 @@ TEST(Metrics, MergePoolsEverything) {
   EXPECT_DOUBLE_EQ(merged.mean_roi_psnr(), 35.0);
   EXPECT_DOUBLE_EQ(to_mbps(merged.mean_throughput()), 3.0);
   EXPECT_EQ(merged.rate_samples().size(), 1u);
-  EXPECT_EQ(merged.buffer_tbs().size(), 1u);
   EXPECT_DOUBLE_EQ(merged.freeze_ratio(), 2.0 / 3.0);
+}
+
+TEST(Metrics, DegradedSampleFractionCountsFlaggedSamples) {
+  SessionMetrics a, b;
+  EXPECT_DOUBLE_EQ(a.degraded_sample_fraction(), 0.0);
+  RateSample s;
+  a.add_rate_sample(s);
+  s.fbcc_degraded = true;
+  a.add_rate_sample(s);
+  a.add_rate_sample(s);
+  s.fbcc_degraded = false;
+  a.add_rate_sample(s);
+  EXPECT_DOUBLE_EQ(a.degraded_sample_fraction(), 2.0 / 4.0);
+
+  b.add_rate_sample(s);
+  s.fbcc_degraded = true;
+  b.add_rate_sample(s);
+  EXPECT_DOUBLE_EQ(b.degraded_sample_fraction(), 1.0 / 2.0);
+  EXPECT_DOUBLE_EQ(merge({a, b}).degraded_sample_fraction(), 3.0 / 6.0);
+}
+
+TEST(Metrics, SessionRegistryHoldsOnlyFinishCounters) {
+  core::SessionConfig config = core::presets::cellular_static();
+  config.duration = sec(5);
+  config.seed = 1;
+  core::Session session(config);
+  session.run();
+  const auto& m = session.metrics();
+  ASSERT_GT(m.displayed_frames(), 0);
+  ASSERT_FALSE(m.rate_samples().empty());
+  const auto entries = m.registry().snapshot();
+  ASSERT_FALSE(entries.empty());
+  for (const auto& e : entries) {
+    EXPECT_TRUE(e.name.starts_with("diag.") ||
+                e.name.starts_with("transport."))
+        << e.name;
+    EXPECT_EQ(e.kind, "counter") << e.name;
+  }
 }
 
 }  // namespace
