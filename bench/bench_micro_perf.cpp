@@ -27,7 +27,7 @@
 #include "poi360/rtp/retx.h"
 #include "poi360/serve/fleet_driver.h"
 #include "poi360/sim/simulator.h"
-#include "poi360/video/encoder.h"
+#include "poi360/video/compression.h"
 #include "poi360/video/quality.h"
 
 using namespace poi360;
@@ -57,38 +57,6 @@ static void BM_CompressionMatrixCached(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CompressionMatrixCached);
-
-static void BM_EncodeFrame(benchmark::State& state) {
-  const auto grid = video::TileGrid::paper_default();
-  video::PanoramicEncoder encoder(grid, {});
-  const video::GeometricMode mode(1.4);
-  const video::CompressionMatrixView matrix(mode.matrix_for(grid, {6, 4}));
-  for (auto _ : state) {
-    auto frame = encoder.encode(0, {6, 4}, 3, matrix, mbps(3));
-    benchmark::DoNotOptimize(frame.bytes);
-  }
-}
-BENCHMARK(BM_EncodeFrame);
-
-// The intra-refresh scan in isolation: every iteration alternates between
-// two cache-shared matrices whose pairwise upgrade mass the encoder
-// memoizes, i.e. the steady-state cost of a session flipping its ROI.
-static void BM_IntraRefreshScan(benchmark::State& state) {
-  const auto grid = video::TileGrid::paper_default();
-  video::PanoramicEncoder encoder(grid, {});
-  const video::GeometricMode mode(1.4);
-  video::ModeMatrixCache cache(grid);
-  cache.add_mode(3, mode);
-  const video::CompressionMatrixView a = cache.matrix(3, {6, 4});
-  const video::CompressionMatrixView b = cache.matrix(3, {7, 4});
-  int i = 0;
-  for (auto _ : state) {
-    const auto& m = (i++ & 1) ? b : a;
-    auto frame = encoder.encode(0, {6, 4}, 3, m, mbps(3));
-    benchmark::DoNotOptimize(frame.bytes);
-  }
-}
-BENCHMARK(BM_IntraRefreshScan);
 
 static void BM_RoiRegionPsnr(benchmark::State& state) {
   const auto grid = video::TileGrid::paper_default();

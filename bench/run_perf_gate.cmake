@@ -17,13 +17,10 @@ endif()
 # fleet-attached session pays (a snapshot read plus a timeline lookup, no
 # allocation), and BM_FleetSessionStep bounds the steady-state cost of
 # advancing one 4-session cell a 100 ms quantum.
-# Encoder-path ceilings guard the structure-of-arrays rewrite: the
-# steady-state encode is a rate-point memo hit (~2.5 ns measured, ceiling
-# catches a reintroduced divide chain or atomic refcount), ROI-PSNR runs on
-# the frozen MSE-factor sidecar (~45 ns vs ~420 ns for the pre-kernel
-# per-tile pow loop, so 4x slack still fails the old path), the intra
-# refresh scan must stay a memo probe, and the cold ROI-PSNR bounds the
-# one-off sidecar freeze per (matrix, model).
+# Encoder-path ceilings guard the structure-of-arrays rewrite: ROI-PSNR
+# runs on the frozen MSE-factor sidecar (~45 ns vs ~420 ns for the
+# pre-kernel per-tile pow loop, so 4x slack still fails the old path), and
+# the cold ROI-PSNR bounds the one-off sidecar freeze per (matrix, model).
 # Telemetry-plane ceilings: the labeled-counter lookup is the uncached
 # registry probe (canonical key build + map find) and must stay well under
 # a microsecond at fleet cardinality; the trace-sample decision is one
@@ -43,11 +40,9 @@ execute_process(
           --max-ns BM_TraceSpanEnabled=600
           --max-ns BM_SharedCellShare=300
           --max-ns BM_FleetSessionStep=500000
-          --max-ns BM_EncodeFrame=12
           --max-ns BM_RoiRegionPsnr=180
           --max-ns BM_RoiRegionPsnrWarm=180
           --max-ns BM_RoiRegionPsnrCold=16000
-          --max-ns BM_IntraRefreshScan=60
           --max-ns BM_LabeledCounterLookup=1200
           --max-ns BM_TraceSampleDecision=25
           --max-ns BM_RngNormal=55

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -13,6 +14,12 @@
 namespace poi360::obs {
 
 namespace {
+
+// Receive and send timeout of each accepted connection. The accept thread
+// serves one connection at a time, so without it a client that connects and
+// never sends (or never reads) would block stop() for as long as it stays
+// connected.
+constexpr timeval kConnectionIoTimeout{1, 0};
 
 void send_all(int fd, const std::string& data) {
   std::size_t off = 0;
@@ -121,6 +128,10 @@ void MetricsHttpServer::serve_loop() {
       if (errno == EINTR) continue;
       break;  // listen socket closed by stop()
     }
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &kConnectionIoTimeout,
+                 sizeof(kConnectionIoTimeout));
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &kConnectionIoTimeout,
+                 sizeof(kConnectionIoTimeout));
     handle_connection(fd);
     ::close(fd);
   }
@@ -130,7 +141,8 @@ void MetricsHttpServer::handle_connection(int fd) {
   // Read the request head only (bounded); scrape requests have no body.
   std::string head;
   char buf[1024];
-  while (head.find("\r\n") == std::string::npos && head.size() < 4096) {
+  while (head.find("\r\n") == std::string::npos && head.size() < 4096 &&
+         !stopping_.load(std::memory_order_acquire)) {
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;

@@ -146,40 +146,29 @@ std::vector<double> BucketHistogram::ratio_bounds() {
   return {0.01, 0.02, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75};
 }
 
-const Counter* MetricsRegistry::find_counter(const std::string& name) const {
-  const auto it = counters_.find(name);
-  return it != counters_.end() ? &it->second : nullptr;
-}
-
-const Gauge* MetricsRegistry::find_gauge(const std::string& name) const {
-  const auto it = gauges_.find(name);
-  return it != gauges_.end() ? &it->second : nullptr;
-}
-
-const Histogram* MetricsRegistry::find_histogram(
-    const std::string& name) const {
-  const auto it = histograms_.find(name);
-  return it != histograms_.end() ? &it->second : nullptr;
-}
-
-template <typename M>
-M& MetricsRegistry::labeled(FamilyMap<M>& families, const std::string& name,
-                            const Labels& labels) {
+template <typename M, typename Make>
+M& MetricsRegistry::find_or_add(FamilyMap<M>& families,
+                                const std::string& name, const Labels& labels,
+                                const Make& make) {
   std::string key = canonical_label_key(labels);
-  auto& family = families[name];
-  const auto it = family.find(key);
-  if (it != family.end()) return it->second.metric;
+  if (const auto fit = families.find(name); fit != families.end()) {
+    const auto sit = fit->second.find(key);
+    if (sit != fit->second.end()) return sit->second.metric;
+  }
+  // Built before anything is inserted, so a throwing `make` registers
+  // nothing.
   Labels sorted = labels;
   std::sort(sorted.begin(), sorted.end());
-  auto& series = family[std::move(key)];
-  series.labels = std::move(sorted);
-  return series.metric;
+  Series<M> series{std::move(sorted), make()};
+  return families[name]
+      .emplace(std::move(key), std::move(series))
+      .first->second.metric;
 }
 
 template <typename M>
-const M* MetricsRegistry::find_labeled(const FamilyMap<M>& families,
-                                       const std::string& name,
-                                       const Labels& labels) {
+const M* MetricsRegistry::find_in(const FamilyMap<M>& families,
+                                  const std::string& name,
+                                  const Labels& labels) {
   const auto fit = families.find(name);
   if (fit == families.end()) return nullptr;
   const auto sit = fit->second.find(canonical_label_key(labels));
@@ -188,72 +177,43 @@ const M* MetricsRegistry::find_labeled(const FamilyMap<M>& families,
 
 Counter& MetricsRegistry::counter(const std::string& name,
                                   const Labels& labels) {
-  if (labels.empty()) return counter(name);
-  return labeled(labeled_counters_, name, labels);
+  return find_or_add(counters_, name, labels, [] { return Counter{}; });
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name, const Labels& labels) {
-  if (labels.empty()) return gauge(name);
-  return labeled(labeled_gauges_, name, labels);
+  return find_or_add(gauges_, name, labels, [] { return Gauge{}; });
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name,
                                       const Labels& labels) {
-  if (labels.empty()) return histogram(name);
-  return labeled(labeled_histograms_, name, labels);
-}
-
-const Counter* MetricsRegistry::find_counter(const std::string& name,
-                                             const Labels& labels) const {
-  if (labels.empty()) return find_counter(name);
-  return find_labeled(labeled_counters_, name, labels);
-}
-
-const Gauge* MetricsRegistry::find_gauge(const std::string& name,
-                                         const Labels& labels) const {
-  if (labels.empty()) return find_gauge(name);
-  return find_labeled(labeled_gauges_, name, labels);
-}
-
-const Histogram* MetricsRegistry::find_histogram(const std::string& name,
-                                                 const Labels& labels) const {
-  if (labels.empty()) return find_histogram(name);
-  return find_labeled(labeled_histograms_, name, labels);
-}
-
-BucketHistogram& MetricsRegistry::bucket_histogram(
-    const std::string& name, const std::vector<double>& upper_bounds) {
-  const auto it = buckets_.find(name);
-  if (it != buckets_.end()) return it->second;
-  return buckets_.emplace(name, BucketHistogram(upper_bounds)).first->second;
+  return find_or_add(histograms_, name, labels, [] { return Histogram{}; });
 }
 
 BucketHistogram& MetricsRegistry::bucket_histogram(
     const std::string& name, const std::vector<double>& upper_bounds,
     const Labels& labels) {
-  if (labels.empty()) return bucket_histogram(name, upper_bounds);
-  std::string key = canonical_label_key(labels);
-  auto& family = labeled_buckets_[name];
-  const auto it = family.find(key);
-  if (it != family.end()) return it->second.metric;
-  Labels sorted = labels;
-  std::sort(sorted.begin(), sorted.end());
-  auto& series = family[std::move(key)];
-  series.labels = std::move(sorted);
-  series.metric = BucketHistogram(upper_bounds);
-  return series.metric;
+  return find_or_add(buckets_, name, labels,
+                     [&] { return BucketHistogram(upper_bounds); });
 }
 
-const BucketHistogram* MetricsRegistry::find_bucket_histogram(
-    const std::string& name) const {
-  const auto it = buckets_.find(name);
-  return it != buckets_.end() ? &it->second : nullptr;
+const Counter* MetricsRegistry::find_counter(const std::string& name,
+                                             const Labels& labels) const {
+  return find_in(counters_, name, labels);
+}
+
+const Gauge* MetricsRegistry::find_gauge(const std::string& name,
+                                         const Labels& labels) const {
+  return find_in(gauges_, name, labels);
+}
+
+const Histogram* MetricsRegistry::find_histogram(const std::string& name,
+                                                 const Labels& labels) const {
+  return find_in(histograms_, name, labels);
 }
 
 const BucketHistogram* MetricsRegistry::find_bucket_histogram(
     const std::string& name, const Labels& labels) const {
-  if (labels.empty()) return find_bucket_histogram(name);
-  return find_labeled(labeled_buckets_, name, labels);
+  return find_in(buckets_, name, labels);
 }
 
 namespace {
@@ -271,13 +231,29 @@ std::string series_name(const std::string& name, const Labels& labels) {
   return out;
 }
 
-void bucket_entries(std::vector<MetricsRegistry::Entry>& out,
-                    const std::string& name, const BucketHistogram& b) {
-  out.push_back({name + ".count", "buckets", static_cast<double>(b.count())});
-  out.push_back({name + ".sum", "buckets", b.sum()});
-  for (std::size_t i = 0; i < b.bounds().size(); ++i) {
-    out.push_back({name + ".le_" + prom_value(b.bounds()[i]), "buckets",
-                   static_cast<double>(b.cumulative(i))});
+// Calls emit(name, series) for every series of every family, name-ordered;
+// a family's flat series (empty key) comes first.
+template <typename Families, typename Emit>
+void for_each_series(const Families& families, const Emit& emit) {
+  for (const auto& [name, family] : families) {
+    for (const auto& [key, s] : family) emit(name, s);
+  }
+}
+
+// Folds every series of `src` into `dst`: a series `dst` lacks is copied,
+// one it has is combined with apply(dst_metric, src_metric).
+template <typename Families, typename Apply>
+void fold_families(Families& dst, const Families& src, const Apply& apply) {
+  for (const auto& [name, family] : src) {
+    auto& into = dst[name];
+    for (const auto& [key, s] : family) {
+      const auto it = into.find(key);
+      if (it == into.end()) {
+        into.emplace(key, s);
+      } else {
+        apply(it->second.metric, s.metric);
+      }
+    }
   }
 }
 
@@ -285,93 +261,45 @@ void bucket_entries(std::vector<MetricsRegistry::Entry>& out,
 
 std::vector<MetricsRegistry::Entry> MetricsRegistry::snapshot() const {
   std::vector<Entry> out;
-  out.reserve(counters_.size() + gauges_.size() + 4 * histograms_.size());
-  for (const auto& [name, c] : counters_) {
-    out.push_back({name, "counter", static_cast<double>(c.value())});
-  }
-  for (const auto& [name, family] : labeled_counters_) {
-    for (const auto& [key, s] : family) {
-      out.push_back({series_name(name, s.labels), "counter",
-                     static_cast<double>(s.metric.value())});
+  for_each_series(counters_, [&](const std::string& name, const auto& s) {
+    out.push_back({series_name(name, s.labels), "counter",
+                   static_cast<double>(s.metric.value())});
+  });
+  for_each_series(gauges_, [&](const std::string& name, const auto& s) {
+    out.push_back({series_name(name, s.labels), "gauge", s.metric.value()});
+  });
+  for_each_series(histograms_, [&](const std::string& name, const auto& s) {
+    const std::string n = series_name(name, s.labels);
+    const Histogram& h = s.metric;
+    out.push_back({n + ".count", "histogram", static_cast<double>(h.count())});
+    out.push_back({n + ".mean", "histogram", h.mean()});
+    out.push_back({n + ".min", "histogram", h.min()});
+    out.push_back({n + ".max", "histogram", h.max()});
+  });
+  for_each_series(buckets_, [&](const std::string& name, const auto& s) {
+    const std::string n = series_name(name, s.labels);
+    const BucketHistogram& b = s.metric;
+    out.push_back({n + ".count", "buckets", static_cast<double>(b.count())});
+    out.push_back({n + ".sum", "buckets", b.sum()});
+    for (std::size_t i = 0; i < b.bounds().size(); ++i) {
+      out.push_back({n + ".le_" + prom_value(b.bounds()[i]), "buckets",
+                     static_cast<double>(b.cumulative(i))});
     }
-  }
-  for (const auto& [name, g] : gauges_) {
-    out.push_back({name, "gauge", g.value()});
-  }
-  for (const auto& [name, family] : labeled_gauges_) {
-    for (const auto& [key, s] : family) {
-      out.push_back({series_name(name, s.labels), "gauge", s.metric.value()});
-    }
-  }
-  const auto moment_entries = [&out](const std::string& name,
-                                     const Histogram& h) {
-    out.push_back(
-        {name + ".count", "histogram", static_cast<double>(h.count())});
-    out.push_back({name + ".mean", "histogram", h.mean()});
-    out.push_back({name + ".min", "histogram", h.min()});
-    out.push_back({name + ".max", "histogram", h.max()});
-  };
-  for (const auto& [name, h] : histograms_) {
-    moment_entries(name, h);
-  }
-  for (const auto& [name, family] : labeled_histograms_) {
-    for (const auto& [key, s] : family) {
-      moment_entries(series_name(name, s.labels), s.metric);
-    }
-  }
-  for (const auto& [name, b] : buckets_) {
-    bucket_entries(out, name, b);
-  }
-  for (const auto& [name, family] : labeled_buckets_) {
-    for (const auto& [key, s] : family) {
-      bucket_entries(out, series_name(name, s.labels), s.metric);
-    }
-  }
+  });
   std::sort(out.begin(), out.end(),
             [](const Entry& a, const Entry& b) { return a.name < b.name; });
   return out;
 }
 
 void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-  for (const auto& [name, c] : other.counters_) {
-    counters_[name].inc(c.value());
-  }
-  for (const auto& [name, g] : other.gauges_) {
-    gauges_[name].set(g.value());
-  }
-  for (const auto& [name, h] : other.histograms_) {
-    histograms_[name].merge_from(h);
-  }
-  for (const auto& [name, b] : other.buckets_) {
-    const auto it = buckets_.find(name);
-    if (it == buckets_.end()) {
-      buckets_.emplace(name, b);
-    } else {
-      it->second.merge_from(b);
-    }
-  }
-  const auto merge_family = [](auto& dst_families, const auto& src_families,
-                               const auto& apply) {
-    for (const auto& [name, family] : src_families) {
-      auto& dst = dst_families[name];
-      for (const auto& [key, s] : family) {
-        const auto it = dst.find(key);
-        if (it == dst.end()) {
-          dst[key] = s;
-        } else {
-          apply(it->second.metric, s.metric);
-        }
-      }
-    }
-  };
-  merge_family(labeled_counters_, other.labeled_counters_,
-               [](Counter& d, const Counter& s) { d.inc(s.value()); });
-  merge_family(labeled_gauges_, other.labeled_gauges_,
-               [](Gauge& d, const Gauge& s) { d.set(s.value()); });
-  merge_family(labeled_histograms_, other.labeled_histograms_,
-               [](Histogram& d, const Histogram& s) { d.merge_from(s); });
-  merge_family(
-      labeled_buckets_, other.labeled_buckets_,
+  fold_families(counters_, other.counters_,
+                [](Counter& d, const Counter& s) { d.inc(s.value()); });
+  fold_families(gauges_, other.gauges_,
+                [](Gauge& d, const Gauge& s) { d.set(s.value()); });
+  fold_families(histograms_, other.histograms_,
+                [](Histogram& d, const Histogram& s) { d.merge_from(s); });
+  fold_families(
+      buckets_, other.buckets_,
       [](BucketHistogram& d, const BucketHistogram& s) { d.merge_from(s); });
   for (const auto& [name, help] : other.help_) {
     help_[name] = help;
@@ -379,31 +307,11 @@ void MetricsRegistry::merge_from(const MetricsRegistry& other) {
 }
 
 void MetricsRegistry::overwrite_from(const MetricsRegistry& other) {
-  for (const auto& [name, c] : other.counters_) {
-    counters_[name] = c;
-  }
-  for (const auto& [name, g] : other.gauges_) {
-    gauges_[name] = g;
-  }
-  for (const auto& [name, h] : other.histograms_) {
-    histograms_[name] = h;
-  }
-  for (const auto& [name, b] : other.buckets_) {
-    buckets_.insert_or_assign(name, b);
-  }
-  const auto overwrite_family = [](auto& dst_families,
-                                   const auto& src_families) {
-    for (const auto& [name, family] : src_families) {
-      auto& dst = dst_families[name];
-      for (const auto& [key, s] : family) {
-        dst[key] = s;
-      }
-    }
-  };
-  overwrite_family(labeled_counters_, other.labeled_counters_);
-  overwrite_family(labeled_gauges_, other.labeled_gauges_);
-  overwrite_family(labeled_histograms_, other.labeled_histograms_);
-  overwrite_family(labeled_buckets_, other.labeled_buckets_);
+  const auto replace = [](auto& d, const auto& s) { d = s; };
+  fold_families(counters_, other.counters_, replace);
+  fold_families(gauges_, other.gauges_, replace);
+  fold_families(histograms_, other.histograms_, replace);
+  fold_families(buckets_, other.buckets_, replace);
   for (const auto& [name, help] : other.help_) {
     help_[name] = help;
   }
@@ -412,130 +320,75 @@ void MetricsRegistry::overwrite_from(const MetricsRegistry& other) {
 std::string MetricsRegistry::prometheus_text(const std::string& prefix) const {
   std::string out;
 
-  const auto help_line = [&](const std::string& name, const std::string& n) {
-    const auto it = help_.find(name);
-    if (it != help_.end()) {
-      out += "# HELP " + n + " " + prom_help_text(it->second) + "\n";
+  // One `# HELP` (when set) and `# TYPE` header per family, then
+  // series(n, family) renders its samples.
+  const auto each_family = [&](const auto& families, const char* type,
+                               const auto& series) {
+    for (const auto& [name, family] : families) {
+      const std::string n = prom_name(prefix, name);
+      const auto it = help_.find(name);
+      if (it != help_.end()) {
+        out += "# HELP " + n + " " + prom_help_text(it->second) + "\n";
+      }
+      out += "# TYPE " + n + " " + type + "\n";
+      series(n, family);
     }
   };
 
-  // Walks the union of a flat map and a labeled family map in name order,
-  // calling emit(name, flat_or_null, family_or_null) once per family.
-  const auto for_each_family = [](const auto& flat, const auto& families,
-                                  const auto& emit) {
-    auto fit = flat.begin();
-    auto lit = families.begin();
-    while (fit != flat.end() || lit != families.end()) {
-      const bool take_flat =
-          lit == families.end() ||
-          (fit != flat.end() && fit->first <= lit->first);
-      const bool take_labeled =
-          fit == flat.end() ||
-          (lit != families.end() && lit->first <= fit->first);
-      const std::string& name = take_flat ? fit->first : lit->first;
-      emit(name, take_flat ? &fit->second : nullptr,
-           take_labeled ? &lit->second : nullptr);
-      if (take_flat) ++fit;
-      if (take_labeled) ++lit;
+  each_family(counters_, "counter", [&](const std::string& n, const auto& f) {
+    for (const auto& [key, s] : f) {
+      out += n + label_block(s.labels) + " " +
+             std::to_string(s.metric.value()) + "\n";
     }
-  };
+  });
 
-  for_each_family(
-      counters_, labeled_counters_,
-      [&](const std::string& name, const Counter* flat, const auto* family) {
-        const std::string n = prom_name(prefix, name);
-        help_line(name, n);
-        out += "# TYPE " + n + " counter\n";
-        if (flat) out += n + " " + std::to_string(flat->value()) + "\n";
-        if (family) {
-          for (const auto& [key, s] : *family) {
-            out += n + label_block(s.labels) + " " +
-                   std::to_string(s.metric.value()) + "\n";
-          }
-        }
-      });
-
-  for_each_family(
-      gauges_, labeled_gauges_,
-      [&](const std::string& name, const Gauge* flat, const auto* family) {
-        const std::string n = prom_name(prefix, name);
-        help_line(name, n);
-        out += "# TYPE " + n + " gauge\n";
-        if (flat) out += n + " " + prom_value(flat->value()) + "\n";
-        if (family) {
-          for (const auto& [key, s] : *family) {
-            out += n + label_block(s.labels) + " " +
-                   prom_value(s.metric.value()) + "\n";
-          }
-        }
-      });
+  each_family(gauges_, "gauge", [&](const std::string& n, const auto& f) {
+    for (const auto& [key, s] : f) {
+      out += n + label_block(s.labels) + " " + prom_value(s.metric.value()) +
+             "\n";
+    }
+  });
 
   // Moment histograms keep the historical summary + _min/_max gauge shape.
-  for_each_family(
-      histograms_, labeled_histograms_,
-      [&](const std::string& name, const Histogram* flat, const auto* family) {
-        const std::string n = prom_name(prefix, name);
-        help_line(name, n);
-        out += "# TYPE " + n + " summary\n";
-        const auto count_sum = [&](const Histogram& h, const std::string& lb) {
-          out += n + "_count" + lb + " " + std::to_string(h.count()) + "\n";
-          out += n + "_sum" + lb + " " + prom_value(h.sum()) + "\n";
-        };
-        if (flat) count_sum(*flat, "");
-        if (family) {
-          for (const auto& [key, s] : *family) {
-            count_sum(s.metric, label_block(s.labels));
-          }
-        }
-        out += "# TYPE " + n + "_min gauge\n";
-        if (flat) out += n + "_min " + prom_value(flat->min()) + "\n";
-        if (family) {
-          for (const auto& [key, s] : *family) {
-            out += n + "_min" + label_block(s.labels) + " " +
-                   prom_value(s.metric.min()) + "\n";
-          }
-        }
-        out += "# TYPE " + n + "_max gauge\n";
-        if (flat) out += n + "_max " + prom_value(flat->max()) + "\n";
-        if (family) {
-          for (const auto& [key, s] : *family) {
-            out += n + "_max" + label_block(s.labels) + " " +
-                   prom_value(s.metric.max()) + "\n";
-          }
-        }
-      });
+  each_family(histograms_, "summary", [&](const std::string& n,
+                                          const auto& f) {
+    for (const auto& [key, s] : f) {
+      const std::string lb = label_block(s.labels);
+      out += n + "_count" + lb + " " + std::to_string(s.metric.count()) + "\n";
+      out += n + "_sum" + lb + " " + prom_value(s.metric.sum()) + "\n";
+    }
+    out += "# TYPE " + n + "_min gauge\n";
+    for (const auto& [key, s] : f) {
+      out += n + "_min" + label_block(s.labels) + " " +
+             prom_value(s.metric.min()) + "\n";
+    }
+    out += "# TYPE " + n + "_max gauge\n";
+    for (const auto& [key, s] : f) {
+      out += n + "_max" + label_block(s.labels) + " " +
+             prom_value(s.metric.max()) + "\n";
+    }
+  });
 
-  for_each_family(
-      buckets_, labeled_buckets_,
-      [&](const std::string& name, const BucketHistogram* flat,
-          const auto* family) {
-        const std::string n = prom_name(prefix, name);
-        help_line(name, n);
-        out += "# TYPE " + n + " histogram\n";
-        const auto series = [&](const BucketHistogram& b,
-                                const Labels& labels) {
-          std::int64_t running = 0;
-          for (std::size_t i = 0; i < b.bounds().size(); ++i) {
-            running += b.bucket_counts()[i];
-            out += n + "_bucket" +
-                   label_block(labels, "le=\"" + prom_value(b.bounds()[i]) +
-                                           "\"") +
-                   " " + std::to_string(running) + "\n";
-          }
-          out += n + "_bucket" + label_block(labels, "le=\"+Inf\"") + " " +
-                 std::to_string(b.count()) + "\n";
-          out += n + "_sum" + label_block(labels) + " " + prom_value(b.sum()) +
-                 "\n";
-          out += n + "_count" + label_block(labels) + " " +
-                 std::to_string(b.count()) + "\n";
-        };
-        if (flat) series(*flat, {});
-        if (family) {
-          for (const auto& [key, s] : *family) {
-            series(s.metric, s.labels);
-          }
-        }
-      });
+  each_family(buckets_, "histogram", [&](const std::string& n,
+                                         const auto& f) {
+    for (const auto& [key, s] : f) {
+      const BucketHistogram& b = s.metric;
+      std::int64_t running = 0;
+      for (std::size_t i = 0; i < b.bounds().size(); ++i) {
+        running += b.bucket_counts()[i];
+        out += n + "_bucket" +
+               label_block(s.labels,
+                           "le=\"" + prom_value(b.bounds()[i]) + "\"") +
+               " " + std::to_string(running) + "\n";
+      }
+      out += n + "_bucket" + label_block(s.labels, "le=\"+Inf\"") + " " +
+             std::to_string(b.count()) + "\n";
+      out += n + "_sum" + label_block(s.labels) + " " + prom_value(b.sum()) +
+             "\n";
+      out += n + "_count" + label_block(s.labels) + " " +
+             std::to_string(b.count()) + "\n";
+    }
+  });
 
   return out;
 }

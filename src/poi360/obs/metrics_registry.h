@@ -13,15 +13,12 @@
 // reference (std::map nodes never move), so hot paths increment through a
 // cached pointer and never re-hash the name.
 //
-// Metrics come in two shapes:
-//   - flat:    counter("serve.arrivals") — the historical form, one series
-//              per name;
-//   - labeled: counter("fleet.freeze_ratio", {{"cell","3"},{"rung","fbcc"}})
-//              — one *family* per name holding one series per label set, the
-//              per-entity (per-UE / per-cell) time series the fleet and soak
-//              drivers expose for live scraping.
-// Label sets are canonicalized (sorted by label name), so registration order
-// never creates duplicate series.
+// Every name is a *family* holding one series per label set:
+// counter("fleet.freeze_ratio", {{"cell","3"},{"rung","fbcc"}}) is one of
+// the per-entity (per-UE / per-cell) series the fleet and soak drivers expose
+// for live scraping, and counter("serve.arrivals") — the empty label set — is
+// the family's flat series. Label sets are canonicalized (sorted by label
+// name), so registration order never creates duplicate series.
 
 namespace poi360::obs {
 
@@ -93,8 +90,6 @@ class Histogram {
 /// merge_from requires identical boundaries.
 class BucketHistogram {
  public:
-  /// Degenerate histogram: the +Inf bucket only (count/sum still exact).
-  BucketHistogram() : counts_(1, 0) {}
   /// `upper_bounds` are sorted ascending and deduplicated; +Inf is implicit
   /// and must not be passed.
   explicit BucketHistogram(std::vector<double> upper_bounds);
@@ -130,39 +125,27 @@ class BucketHistogram {
 
 class MetricsRegistry {
  public:
-  // -- flat series (historical form) --------------------------------------
-  Counter& counter(const std::string& name) { return counters_[name]; }
-  Gauge& gauge(const std::string& name) { return gauges_[name]; }
-  Histogram& histogram(const std::string& name) { return histograms_[name]; }
-
-  const Counter* find_counter(const std::string& name) const;
-  const Gauge* find_gauge(const std::string& name) const;
-  const Histogram* find_histogram(const std::string& name) const;
-
-  // -- labeled families ---------------------------------------------------
   /// Registers (or finds) the series of `name` with the given label set and
-  /// returns a stable reference. An empty label set is the flat series.
-  Counter& counter(const std::string& name, const Labels& labels);
-  Gauge& gauge(const std::string& name, const Labels& labels);
-  Histogram& histogram(const std::string& name, const Labels& labels);
-
-  const Counter* find_counter(const std::string& name,
-                              const Labels& labels) const;
-  const Gauge* find_gauge(const std::string& name, const Labels& labels) const;
-  const Histogram* find_histogram(const std::string& name,
-                                  const Labels& labels) const;
-
-  // -- bucket histograms --------------------------------------------------
+  /// returns a stable reference. The empty label set is the family's flat
+  /// series.
+  Counter& counter(const std::string& name, const Labels& labels = {});
+  Gauge& gauge(const std::string& name, const Labels& labels = {});
+  Histogram& histogram(const std::string& name, const Labels& labels = {});
   /// Registers (or finds) a bucket histogram. The boundaries apply on first
   /// registration; later calls for the same series ignore `upper_bounds`.
-  BucketHistogram& bucket_histogram(const std::string& name,
-                                    const std::vector<double>& upper_bounds);
+  /// Invalid boundaries throw and register nothing.
   BucketHistogram& bucket_histogram(const std::string& name,
                                     const std::vector<double>& upper_bounds,
-                                    const Labels& labels);
-  const BucketHistogram* find_bucket_histogram(const std::string& name) const;
-  const BucketHistogram* find_bucket_histogram(const std::string& name,
-                                               const Labels& labels) const;
+                                    const Labels& labels = {});
+
+  const Counter* find_counter(const std::string& name,
+                              const Labels& labels = {}) const;
+  const Gauge* find_gauge(const std::string& name,
+                          const Labels& labels = {}) const;
+  const Histogram* find_histogram(const std::string& name,
+                                  const Labels& labels = {}) const;
+  const BucketHistogram* find_bucket_histogram(
+      const std::string& name, const Labels& labels = {}) const;
 
   /// HELP text emitted for the family in the Prometheus exposition.
   void set_help(const std::string& name, std::string help) {
@@ -171,20 +154,12 @@ class MetricsRegistry {
 
   /// Counter value, or 0 when the counter was never registered — the reader
   /// used to reassemble the robustness structs.
-  std::int64_t counter_value(const std::string& name) const {
-    const Counter* c = find_counter(name);
-    return c ? c->value() : 0;
-  }
   std::int64_t counter_value(const std::string& name,
-                             const Labels& labels) const {
+                             const Labels& labels = {}) const {
     const Counter* c = find_counter(name, labels);
     return c ? c->value() : 0;
   }
-  double gauge_value(const std::string& name) const {
-    const Gauge* g = find_gauge(name);
-    return g ? g->value() : 0.0;
-  }
-  double gauge_value(const std::string& name, const Labels& labels) const {
+  double gauge_value(const std::string& name, const Labels& labels = {}) const {
     const Gauge* g = find_gauge(name, labels);
     return g ? g->value() : 0.0;
   }
@@ -202,7 +177,7 @@ class MetricsRegistry {
 
   /// Counters add, gauges take the other side's value (last writer),
   /// histograms merge moments, bucket histograms merge counts (boundaries
-  /// must match). Label-aware: labeled series merge by (name, label set).
+  /// must match). Series merge by (name, label set).
   void merge_from(const MetricsRegistry& other);
 
   /// Idempotent publish: every series `other` carries *replaces* the same
@@ -226,28 +201,25 @@ class MetricsRegistry {
   template <typename M>
   struct Series {
     Labels labels;  ///< canonical (name-sorted) order
-    M metric{};
+    M metric;
   };
-  /// name -> canonical label key -> series. Inner map nodes are stable, so
-  /// references returned by the registration calls never dangle.
+  /// name -> canonical label key -> series; the flat series of a family is
+  /// its empty-key entry, which std::map orders first. Inner map nodes are
+  /// stable, so references returned by the registration calls never dangle.
   template <typename M>
   using FamilyMap = std::map<std::string, std::map<std::string, Series<M>>>;
 
+  template <typename M, typename Make>
+  static M& find_or_add(FamilyMap<M>& families, const std::string& name,
+                        const Labels& labels, const Make& make);
   template <typename M>
-  static M& labeled(FamilyMap<M>& families, const std::string& name,
-                    const Labels& labels);
-  template <typename M>
-  static const M* find_labeled(const FamilyMap<M>& families,
-                               const std::string& name, const Labels& labels);
+  static const M* find_in(const FamilyMap<M>& families,
+                          const std::string& name, const Labels& labels);
 
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Gauge> gauges_;
-  std::map<std::string, Histogram> histograms_;
-  std::map<std::string, BucketHistogram> buckets_;
-  FamilyMap<Counter> labeled_counters_;
-  FamilyMap<Gauge> labeled_gauges_;
-  FamilyMap<Histogram> labeled_histograms_;
-  FamilyMap<BucketHistogram> labeled_buckets_;
+  FamilyMap<Counter> counters_;
+  FamilyMap<Gauge> gauges_;
+  FamilyMap<Histogram> histograms_;
+  FamilyMap<BucketHistogram> buckets_;
   std::map<std::string, std::string> help_;
 };
 

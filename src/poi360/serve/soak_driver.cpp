@@ -131,7 +131,7 @@ SoakSummary SoakDriver::run() {
   update_gauges();
   // Final publish so a scraper that polls after the horizon sees the
   // end-of-run state (the server stays up until the driver dies).
-  if (plane_) plane_->publish_rendered(registry_.prometheus_text());
+  if (plane_) plane_->publish(registry_);
   return summarize();
 }
 
@@ -288,7 +288,7 @@ void SoakDriver::on_snapshot_tick() {
   ++snapshots_taken_;
   registry_.counter("serve.snapshots.taken").inc();
   std::string text = registry_.prometheus_text();
-  if (plane_) plane_->publish_rendered(text);
+  if (plane_) plane_->publish(registry_);
   snapshots_.push(Snapshot{sim_.now(), std::move(text)});
 }
 

@@ -1,7 +1,5 @@
 #include "poi360/serve/telemetry.h"
 
-#include <utility>
-
 #include "poi360/runner/result_io.h"
 
 namespace poi360::serve {
@@ -21,11 +19,6 @@ void TelemetryPlane::publish(const obs::MetricsRegistry& src) {
   std::lock_guard<std::mutex> lock(mu_);
   master_.overwrite_from(src);
   if (server_) server_->publish(master_.prometheus_text());
-}
-
-void TelemetryPlane::publish_rendered(std::string text) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (server_) server_->publish(std::move(text));
 }
 
 void SessionSlo::reset(bool traced) {

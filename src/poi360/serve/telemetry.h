@@ -47,11 +47,11 @@ struct TelemetryConfig {
 };
 
 /// Shared scrape endpoint: a master registry plus a pre-rendered snapshot
-/// behind a real socket. The soak driver (single-threaded) publishes its
-/// own registry's rendered text; fleet cells (one per worker thread) publish
-/// whole registries that are overwritten into the master under a mutex —
-/// cells own disjoint label sets, so publishes are idempotent per cell and
-/// the final master is identical for every --jobs value.
+/// behind a real socket. Publishers hand over whole registries, which are
+/// overwritten into the master under a mutex: the soak driver publishes its
+/// one registry, and fleet cells (one per worker thread) own disjoint label
+/// sets, so publishes are idempotent per cell and the final master is
+/// identical for every --jobs value.
 class TelemetryPlane {
  public:
   explicit TelemetryPlane(const TelemetryConfig& config);
@@ -68,10 +68,6 @@ class TelemetryPlane {
   /// Merges `src` into the master registry (overwrite semantics) and
   /// re-renders the scrape snapshot. Safe from any worker thread.
   void publish(const obs::MetricsRegistry& src);
-
-  /// Swaps in externally rendered exposition text (soak path: the driver's
-  /// own registry is the master and is rendered on its snapshot tick).
-  void publish_rendered(std::string text);
 
   /// The merged master registry. Read only when publishers are quiescent
   /// (after run()).

@@ -1,47 +1,13 @@
 #include "poi360/video/encoder.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
-#include <utility>
 
 #include "poi360/video/kernels.h"
 
 namespace poi360::video {
-
-namespace {
-/// The refresh memo only helps while both matrices are cache-served and
-/// revisited; ad-hoc wrapped matrices mint a fresh box per call and would
-/// grow it without bound, so it is cleared past this size.
-constexpr std::size_t kRefreshMemoCap = 1024;
-}  // namespace
-
-std::size_t PanoramicEncoder::RefreshPairHash::operator()(
-    const std::pair<const CompressionMatrix*, const CompressionMatrix*>& p)
-    const noexcept {
-  const auto a = reinterpret_cast<std::uintptr_t>(p.first);
-  const auto b = reinterpret_cast<std::uintptr_t>(p.second);
-  return std::hash<std::uintptr_t>{}(a ^ (b * 0x9e3779b97f4a7c15ULL));
-}
-
-double PanoramicEncoder::upgraded_tiles_between(
-    const CompressionMatrixView& cur, const CompressionMatrixView& prev) {
-  const auto key = std::make_pair(cur.get(), prev.get());
-  const auto it = refresh_memo_.find(key);
-  if (it != refresh_memo_.end()) return it->second.upgraded_tiles;
-
-  // Frozen inverse levels make the scan two contiguous loads and a compare
-  // per tile — same values, same row-major order, same sum as the old
-  // divide-per-tile loop, so the result is bit-identical.
-  const std::size_t n = static_cast<std::size_t>(cur->tile_count());
-  const double upgraded = kernels::upgrade_gain_sum(
-      cur->inv_levels_data(), prev->inv_levels_data(), n);
-
-  if (refresh_memo_.size() >= kRefreshMemoCap) refresh_memo_.clear();
-  refresh_memo_.emplace(key, RefreshEntry{cur, prev, upgraded});
-  return upgraded;
-}
 
 PanoramicEncoder::PanoramicEncoder(TileGrid grid, EncoderConfig config)
     : grid_(grid), config_(config),
@@ -51,10 +17,10 @@ PanoramicEncoder::PanoramicEncoder(TileGrid grid, EncoderConfig config)
   }
 }
 
-EncodedFrame PanoramicEncoder::encode_full(SimTime capture_time,
-                                           TileIndex sender_roi, int mode_id,
-                                           const CompressionMatrixView& levels,
-                                           Bitrate rv) {
+EncodedFrame PanoramicEncoder::encode(SimTime capture_time,
+                                      TileIndex sender_roi, int mode_id,
+                                      const CompressionMatrixView& levels,
+                                      Bitrate rv) {
   if (levels.cols() != grid_.cols() || levels.rows() != grid_.rows()) {
     throw std::invalid_argument("compression matrix does not match grid");
   }
@@ -76,27 +42,22 @@ EncodedFrame PanoramicEncoder::encode_full(SimTime capture_time,
   if (prev_levels_ && prev_levels_.get() != levels.get() &&
       prev_levels_.cols() == levels.cols() &&
       prev_levels_.rows() == levels.rows()) {
-    refresh_bits = config_.refresh_intra_factor * bpp *
-                   upgraded_tiles_between(levels, prev_levels_) *
-                   tile_pixels_;
+    // Frozen inverse levels make the scan two contiguous loads and a
+    // compare per tile.
+    const double upgraded = kernels::upgrade_gain_sum(
+        levels->inv_levels_data(), prev_levels_->inv_levels_data(),
+        static_cast<std::size_t>(levels->tile_count()));
+    refresh_bits =
+        config_.refresh_intra_factor * bpp * upgraded * tile_pixels_;
   }
   // View assignment to the same box is a pointer compare, nothing more —
   // the steady-state (unchanged matrix) frame touches no refcount.
   prev_levels_ = levels;
 
-  // * 0.125 is exactly / 8.0 (power of two), minus the fdiv. With zero
-  // refresh the memoized refresh-free bytes equal this frame's bytes
-  // (bits + 0.0 is bitwise bits for the non-negative bits here).
-  const std::int64_t base_bytes =
-      static_cast<std::int64_t>(bits * 0.125) + config_.overhead_bytes;
+  // * 0.125 is exactly / 8.0 (power of two), minus the fdiv.
   const std::int64_t bytes =
-      refresh_bits != 0.0
-          ? static_cast<std::int64_t>((bits + refresh_bits) * 0.125) +
-                config_.overhead_bytes
-          : base_bytes;
-  last_rv_ = rv;
-  last_bytes_ = base_bytes;
-  last_bpp_ = bpp;
+      static_cast<std::int64_t>((bits + refresh_bits) * 0.125) +
+      config_.overhead_bytes;
 
   EncodedFrame frame{
       .id = next_id_++,

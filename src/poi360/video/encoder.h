@@ -1,9 +1,6 @@
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
-#include <utility>
 
 #include "poi360/common/units.h"
 #include "poi360/video/frame.h"
@@ -56,28 +53,8 @@ class PanoramicEncoder {
   /// `rv`. `sender_roi` and `mode_id` are embedded as metadata. Accepts a
   /// shared view (a plain CompressionMatrix converts implicitly, copying
   /// once — hot paths should pass a cached view).
-  ///
-  /// Inline fast path: between rate-control updates consecutive frames share
-  /// both the matrix and rv, so the bytes/bpp computed for the previous
-  /// frame are exactly this frame's too (and refresh is zero by definition).
-  /// The matrix was validated against the grid when the memo was filled, and
-  /// prev_levels_ pins it, so the pointer comparison cannot alias a recycled
-  /// box.
   EncodedFrame encode(SimTime capture_time, TileIndex sender_roi, int mode_id,
-                      const CompressionMatrixView& levels, Bitrate rv) {
-    if (levels.get() == prev_levels_.get() && rv == last_rv_) {
-      return EncodedFrame{
-          .id = next_id_++,
-          .capture_time = capture_time,
-          .sender_roi = sender_roi,
-          .mode_id = mode_id,
-          .levels = levels,
-          .bytes = last_bytes_,
-          .bpp = last_bpp_,
-      };
-    }
-    return encode_full(capture_time, sender_roi, mode_id, levels, rv);
-  }
+                      const CompressionMatrixView& levels, Bitrate rv);
 
   const TileGrid& grid() const { return grid_; }
   const EncoderConfig& config() const { return config_; }
@@ -87,31 +64,6 @@ class PanoramicEncoder {
   }
 
  private:
-  /// Full rate-model path: validate, clamp-and-divide, intra refresh, and
-  /// refill the rate-point memo the inline fast path reads.
-  EncodedFrame encode_full(SimTime capture_time, TileIndex sender_roi,
-                           int mode_id, const CompressionMatrixView& levels,
-                           Bitrate rv);
-
-  /// Upgraded-pixel mass (in tiles) of switching prev → cur, memoized per
-  /// ordered matrix pair. Cached matrices are pointer-stable per session,
-  /// so a mode/ROI switch the session has made before costs one hash probe
-  /// instead of a 96-tile rescan; the memo pins its matrices so a recycled
-  /// address can never alias a dead entry.
-  double upgraded_tiles_between(const CompressionMatrixView& cur,
-                                const CompressionMatrixView& prev);
-
-  struct RefreshPairHash {
-    std::size_t operator()(
-        const std::pair<const CompressionMatrix*,
-                        const CompressionMatrix*>& p) const noexcept;
-  };
-  struct RefreshEntry {
-    CompressionMatrixView cur_pin;
-    CompressionMatrixView prev_pin;
-    double upgraded_tiles = 0.0;
-  };
-
   TileGrid grid_;
   EncoderConfig config_;
   // grid_.tile_pixels() as a double: the per-frame path multiplies by it
@@ -120,18 +72,6 @@ class PanoramicEncoder {
   double tile_pixels_ = 0.0;
   std::int64_t next_id_ = 0;
   CompressionMatrixView prev_levels_;  // empty until the first frame
-  // Rate-point memo: bytes/bpp depend only on (matrix, rv, config), and
-  // consecutive frames between rate-control updates share all three — the
-  // common frame skips the whole clamp-and-divide chain and reuses the
-  // exact values the previous frame computed (refresh-free bytes; a hit
-  // implies an unchanged matrix, hence zero refresh).
-  Bitrate last_rv_ = -1;
-  std::int64_t last_bytes_ = 0;
-  double last_bpp_ = 0.0;
-  std::unordered_map<std::pair<const CompressionMatrix*,
-                               const CompressionMatrix*>,
-                     RefreshEntry, RefreshPairHash>
-      refresh_memo_;
 };
 
 }  // namespace poi360::video

@@ -12,10 +12,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
 #include <set>
 #include <sstream>
@@ -220,6 +222,9 @@ TEST(MetricsRegistry, MergeSemantics) {
   b.gauge("g").set(9.0);
   a.histogram("h").observe(1.0);
   b.histogram("h").observe(5.0);
+  a.bucket_histogram("d", {1.0, 2.0}).observe(0.5);
+  b.bucket_histogram("d", {1.0, 2.0}).observe(1.5);
+  b.bucket_histogram("e", {3.0}).observe(4.0);
 
   a.merge_from(b);
   EXPECT_EQ(a.counter_value("n"), 7);      // counters add
@@ -229,6 +234,14 @@ TEST(MetricsRegistry, MergeSemantics) {
   EXPECT_EQ(h->count(), 2);                // histograms merge moments
   EXPECT_EQ(h->min(), 1.0);
   EXPECT_EQ(h->max(), 5.0);
+  const obs::BucketHistogram* d = a.find_bucket_histogram("d");
+  ASSERT_NE(d, nullptr);                   // bucket histograms add counts
+  EXPECT_EQ(d->bucket_counts(), (std::vector<std::int64_t>{1, 1, 0}));
+  EXPECT_EQ(d->sum(), 2.0);
+  const obs::BucketHistogram* e = a.find_bucket_histogram("e");
+  ASSERT_NE(e, nullptr);                   // and are adopted with bounds
+  EXPECT_EQ(e->bounds(), std::vector<double>{3.0});
+  EXPECT_EQ(e->bucket_counts(), (std::vector<std::int64_t>{0, 1}));
 }
 
 // ----------------------------------------------------------- exporters --
@@ -539,11 +552,28 @@ TEST(LabeledMetrics, MergeAndOverwriteAreLabelAware) {
   b.counter("n", {{"cell", "0"}}).set(4);
   b.counter("n", {{"cell", "1"}}).set(10);
   b.gauge("g", {{"cell", "0"}}).set(2.0);
+  // Moment and bucket histograms, each with a flat series beside the
+  // labeled one of the same family.
+  for (obs::MetricsRegistry* r : {&a, &b}) {
+    r->histogram("h").observe(1.0);
+    r->histogram("h", {{"cell", "0"}}).observe(r == &a ? 2.0 : 8.0);
+    r->bucket_histogram("d", {1.0, 2.0}).observe(0.5);
+    r->bucket_histogram("d", {1.0, 2.0}, {{"cell", "0"}})
+        .observe(r == &a ? 1.5 : 9.0);
+  }
 
   a.merge_from(b);
   EXPECT_EQ(a.counter_value("n", {{"cell", "0"}}), 7);   // add
   EXPECT_EQ(a.counter_value("n", {{"cell", "1"}}), 10);  // adopted
   EXPECT_EQ(a.gauge_value("g", {{"cell", "0"}}), 2.0);
+  EXPECT_EQ(a.find_histogram("h")->count(), 2);
+  EXPECT_EQ(a.find_histogram("h")->max(), 1.0);
+  EXPECT_EQ(a.find_histogram("h", {{"cell", "0"}})->count(), 2);
+  EXPECT_EQ(a.find_histogram("h", {{"cell", "0"}})->max(), 8.0);
+  EXPECT_EQ(a.find_bucket_histogram("d")->bucket_counts(),
+            (std::vector<std::int64_t>{2, 0, 0}));
+  EXPECT_EQ(a.find_bucket_histogram("d", {{"cell", "0"}})->bucket_counts(),
+            (std::vector<std::int64_t>{0, 1, 1}));
 
   // overwrite_from is idempotent publish: re-applying never double-counts.
   obs::MetricsRegistry master;
@@ -551,6 +581,15 @@ TEST(LabeledMetrics, MergeAndOverwriteAreLabelAware) {
   master.overwrite_from(b);
   EXPECT_EQ(master.counter_value("n", {{"cell", "0"}}), 4);
   EXPECT_EQ(master.counter_value("n", {{"cell", "1"}}), 10);
+  EXPECT_EQ(master.find_histogram("h")->count(), 1);
+  EXPECT_EQ(master.find_histogram("h", {{"cell", "0"}})->count(), 1);
+  EXPECT_EQ(master.find_histogram("h", {{"cell", "0"}})->min(), 8.0);
+  EXPECT_EQ(master.find_bucket_histogram("d")->bucket_counts(),
+            (std::vector<std::int64_t>{1, 0, 0}));
+  EXPECT_EQ(
+      master.find_bucket_histogram("d", {{"cell", "0"}})->bucket_counts(),
+      (std::vector<std::int64_t>{0, 0, 1}));
+  EXPECT_EQ(master.prometheus_text(), b.prometheus_text());
 }
 
 TEST(LabeledMetrics, SnapshotRendersLabeledSeriesNames) {
@@ -608,6 +647,21 @@ TEST(BucketHistogramTest, RegistryBoundsApplyOnFirstRegistrationOnly) {
       reg.bucket_histogram("d", {5.0}, {{"cell", "0"}});
   EXPECT_EQ(lab.bounds(), std::vector<double>{5.0});
   EXPECT_EQ(&lab, &reg.bucket_histogram("d", {9.0}, {{"cell", "0"}}));
+}
+
+TEST(BucketHistogramTest, RejectedBoundsRegisterNothing) {
+  for (const obs::Labels& labels :
+       {obs::Labels{}, obs::Labels{{"cell", "0"}}}) {
+    obs::MetricsRegistry reg;
+    EXPECT_THROW(reg.bucket_histogram("d", {2.0, 1.0}, labels),
+                 std::invalid_argument);
+    EXPECT_EQ(reg.find_bucket_histogram("d", labels), nullptr);
+    EXPECT_TRUE(reg.snapshot().empty());
+    EXPECT_EQ(reg.prometheus_text(), "");
+    // A later valid registration gets its own bounds, not a leftover.
+    EXPECT_EQ(reg.bucket_histogram("d", {1.0, 2.0}, labels).bounds(),
+              (std::vector<double>{1.0, 2.0}));
+  }
 }
 
 // ------------------------------------------- Prometheus exposition spec --
@@ -864,6 +918,34 @@ TEST(MetricsHttpServerTest, EmptyUntilFirstPublishAndStopIsIdempotent) {
   EXPECT_NE(resp.find("Content-Length: 0\r\n"), std::string::npos) << resp;
   server.stop();
   server.stop();  // safe to call twice; dtor will call it again
+}
+
+TEST(MetricsHttpServerTest, StopReturnsWithIdleClientConnected) {
+  obs::MetricsHttpServer server(obs::MetricsHttpServer::Config{0, "127.0.0.1"});
+  // Connects and never sends a request.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
+  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  // Let the accept thread take the connection before stop() closes the
+  // listen socket.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  std::promise<void> stopped;
+  std::future<void> done = stopped.get_future();
+  std::thread stopper([&] {
+    server.stop();
+    stopped.set_value();
+  });
+  const bool returned =
+      done.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  ::close(fd);  // releases a stop() that is still blocked, so join returns
+  stopper.join();
+  EXPECT_TRUE(returned) << "stop() blocked on an idle client";
+  EXPECT_EQ(server.requests_served(), 0);
 }
 
 // ------------------------------------------------------ trace sampling --

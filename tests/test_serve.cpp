@@ -610,6 +610,11 @@ TEST(SoakTelemetry, LiveScrapeSeesFinalPublishedState) {
       soak_http_get(driver.metrics_port(), "/healthz").find("ok\n"),
       std::string::npos);
   EXPECT_GE(driver.telemetry_plane()->scrapes_served(), 2);
+  // The soak publishes through the plane like a fleet cell: the plane's
+  // master is the driver's registry, and the served body is its rendering.
+  const std::string text = driver.registry().prometheus_text();
+  EXPECT_EQ(driver.telemetry_plane()->registry().prometheus_text(), text);
+  EXPECT_EQ(resp.substr(resp.find("\r\n\r\n") + 4), text);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,9 +13,11 @@ Save that listing from one build and compare another against it:
 
 With `--against`, every run is reported as `same`, `DIFF`, `NEW` or
 `MISSING` and the exit status is 1 unless all runs are `same`.
-`bench_micro_perf` is skipped (its stdout is timing). Each bench runs in
-a fresh temporary directory, so files a bench writes (trace_demo/) never
-land in the caller's tree. `--jobs N` sets POI360_JOBS, the worker count of
+`bench_micro_perf` is skipped (its stdout is timing). When the build also
+holds `examples/example_poi360_cli` next to the bench directory, its
+`--csv frames` and `--csv rates` dumps for seeds 1 and 7 are fingerprinted
+too. Each run happens in a fresh temporary directory, so files a bench
+writes (trace_demo/) never land in the caller's tree. `--jobs N` sets POI360_JOBS, the worker count of
 benches that run in parallel; no bench's stdout depends on it.
 """
 
@@ -42,9 +44,15 @@ RUNS = {
     ],
 }
 
+# Per-frame and per-sample CSV dumps of the CLI, relative to bench_dir.
+CLI = os.path.join(os.pardir, "examples", "example_poi360_cli")
+CLI_RUNS = [["--seed", seed, "--csv", table]
+            for seed in ("1", "7") for table in ("frames", "rates")]
+
 
 def bench_runs(bench_dir, corpus):
     """(run name, argv) for every bench binary in bench_dir, sorted."""
+    bench_dir = os.path.abspath(bench_dir)  # runs start in a temporary cwd
     runs = []
     for name in sorted(os.listdir(bench_dir)):
         path = os.path.join(bench_dir, name)
@@ -54,6 +62,10 @@ def bench_runs(bench_dir, corpus):
         for run_name, args in RUNS.get(name, [(name, [])]):
             argv = [path] + [a.replace("{corpus}", corpus) for a in args]
             runs.append((run_name, argv))
+    cli = os.path.normpath(os.path.join(bench_dir, CLI))
+    if os.path.isfile(cli) and os.access(cli, os.X_OK):
+        for args in CLI_RUNS:
+            runs.append((" ".join(["example_poi360_cli"] + args), [cli] + args))
     return runs
 
 

@@ -69,6 +69,9 @@ class BenchDigestTest(unittest.TestCase):
         self.assertEqual(runs["bench_chaos_search --replay"][1:],
                          ["--replay", "/c"])
         self.assertEqual(runs["bench_alpha"][1:], [])
+        # A relative bench directory resolves before each run's cwd changes.
+        rc, out = run([os.path.relpath(self.bench), "--corpus", "/c"])
+        self.assertEqual((rc, bench_digest.parse_listing(out)), (0, parsed))
 
     def test_jobs_reaches_the_bench_and_files_stay_out_of_the_cwd(self):
         before = set(os.listdir(os.getcwd()))
@@ -95,6 +98,28 @@ class BenchDigestTest(unittest.TestCase):
         self.assertIn("MISSING bench_writer", out)
         self.assertIn("NEW     bench_new", out)
         self.assertIn("same    bench_soak", out)
+
+    def test_cli_csv_dumps_join_when_the_example_is_built(self):
+        names = [n for n, _ in bench_digest.bench_runs(self.bench, "/c")]
+        self.assertFalse(any(n.startswith("example_") for n in names))
+
+        examples = os.path.join(self.tmp.name, "examples")
+        os.mkdir(examples)
+        write_script(examples, "example_poi360_cli", 'echo cli "$@"')
+        runs = dict(bench_digest.bench_runs(self.bench, "/c"))
+        cli_runs = {n: argv for n, argv in runs.items()
+                    if n.startswith("example_poi360_cli")}
+        self.assertEqual(sorted(cli_runs), [
+            "example_poi360_cli --seed 1 --csv frames",
+            "example_poi360_cli --seed 1 --csv rates",
+            "example_poi360_cli --seed 7 --csv frames",
+            "example_poi360_cli --seed 7 --csv rates"])
+        self.assertEqual(cli_runs["example_poi360_cli --seed 7 --csv rates"][1:],
+                         ["--seed", "7", "--csv", "rates"])
+        listing = bench_digest.parse_listing(self.listing())
+        self.assertEqual(len(listing), 11)
+        self.assertNotEqual(listing["example_poi360_cli --seed 1 --csv frames"],
+                            listing["example_poi360_cli --seed 7 --csv frames"])
 
     def test_empty_directory_is_an_error(self):
         empty = os.path.join(self.tmp.name, "empty")
