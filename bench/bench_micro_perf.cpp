@@ -53,7 +53,7 @@ static void BM_CompressionMatrixCached(benchmark::State& state) {
   int i = 0;
   for (auto _ : state) {
     auto m = cache.matrix(3, {i++ % grid.cols(), 4});
-    benchmark::DoNotOptimize(m.effective_tiles());
+    benchmark::DoNotOptimize(m->effective_tiles());
   }
 }
 BENCHMARK(BM_CompressionMatrixCached);
@@ -96,7 +96,7 @@ static void BM_RoiRegionPsnrWarm(benchmark::State& state) {
   const video::GeometricMode mode(1.4);
   video::ModeMatrixCache cache(grid);
   cache.add_mode(3, mode);
-  const video::CompressionMatrixView matrix = cache.matrix(3, {6, 4});
+  const auto matrix = cache.matrix(3, {6, 4});
   const video::QualityModel model;
   int i = 0;
   for (auto _ : state) {

@@ -63,7 +63,7 @@ Session::Session(SessionConfig config)
     for (int m = 1; m <= config_.adaptive.num_modes; ++m) {
       floors[static_cast<std::size_t>(m)] =
           config_.encoder.floor_bpp *
-          matrix_cache_.matrix(m, center).effective_tiles() *
+          matrix_cache_.matrix(m, center)->effective_tiles() *
           static_cast<double>(grid_.tile_pixels()) * config_.encoder.fps;
     }
     adaptive_.set_mode_floor_rates(std::move(floors));
@@ -288,7 +288,7 @@ Bitrate Session::current_video_rate() const {
   return fbcc_ ? fbcc_->video_rate() : gcc_sender_.target();
 }
 
-video::CompressionMatrixView Session::current_matrix_for(
+std::shared_ptr<const video::CompressionMatrix> Session::current_matrix_for(
     video::TileIndex roi) const {
   switch (config_.compression) {
     case CompressionScheme::kPoi360:
@@ -586,8 +586,8 @@ void Session::on_display(const rtp::RtpReceiver::CompletedFrame& f) {
   const video::TileIndex actual_roi =
       grid_.tile_at(gaze.yaw_deg, gaze.pitch_deg);
 
-  const double roi_level = frame.levels.at(actual_roi);
-  const double min_level = frame.levels.min_level();
+  const double roi_level = frame.levels->at(actual_roi);
+  const double min_level = frame.levels->min_level();
   const SimDuration delay = now - frame.capture_time;
 
   mismatch_tracker_.on_frame(now, delay, roi_level, min_level, actual_roi);

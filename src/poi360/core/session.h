@@ -150,7 +150,8 @@ class Session {
   void on_diag(const lte::DiagReport& report);
   void on_feedback_guard_tick();
   Bitrate current_video_rate() const;
-  video::CompressionMatrixView current_matrix_for(video::TileIndex roi) const;
+  std::shared_ptr<const video::CompressionMatrix> current_matrix_for(
+      video::TileIndex roi) const;
   int current_mode_id() const;
 
   // Viewer side.

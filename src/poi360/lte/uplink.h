@@ -108,9 +108,9 @@ class LteUplink {
 
   /// Begins the grant and diagnostic schedules. Call once.
   void start() {
-    next_surge_at_ = sim_.now() + sec_f(rng_.exponential(to_seconds(
+    surge_.next_at = sim_.now() + sec_f(rng_.exponential(to_seconds(
                                        config_.surge_mean_interval)));
-    next_famine_at_ = sim_.now() + sec_f(rng_.exponential(to_seconds(
+    famine_.next_at = sim_.now() + sec_f(rng_.exponential(to_seconds(
                                         config_.famine_mean_interval)));
     sim_.schedule_periodic(sim_.now() + grant_interval_, grant_interval_,
                            [this]() { on_grant(); });
@@ -210,44 +210,12 @@ class LteUplink {
     bsr_history_.push(buffer_bytes_);
 
     // Grant-slope surge and famine processes (random telegraphs).
-    if (surging_ && now >= surge_until_) {
-      surging_ = false;
-      if (trace_) trace_->span_end(now, "lte", "surge", 0);
-    }
-    if (!surging_ && now >= next_surge_at_) {
-      surging_ = true;
-      surge_until_ =
-          now + std::max<SimDuration>(
-                    msec(20), sec_f(rng_.exponential(to_seconds(
-                                  config_.surge_mean_duration))));
-      next_surge_at_ =
-          surge_until_ + std::max<SimDuration>(
-                             msec(100), sec_f(rng_.exponential(to_seconds(
-                                            config_.surge_mean_interval))));
-      if (trace_) {
-        trace_->span_begin(now, "lte", "surge", 0,
-                           {{"gain", config_.surge_gain}});
-      }
-    }
-    if (famine_ && now >= famine_until_) {
-      famine_ = false;
-      if (trace_) trace_->span_end(now, "lte", "famine", 0);
-    }
-    if (!famine_ && now >= next_famine_at_) {
-      famine_ = true;
-      famine_until_ =
-          now + std::max<SimDuration>(
-                    msec(30), sec_f(rng_.exponential(to_seconds(
-                                  config_.famine_mean_duration))));
-      next_famine_at_ =
-          famine_until_ + std::max<SimDuration>(
-                              msec(150), sec_f(rng_.exponential(to_seconds(
-                                             config_.famine_mean_interval))));
-      if (trace_) {
-        trace_->span_begin(now, "lte", "famine", 0,
-                           {{"gain", config_.famine_gain}});
-      }
-    }
+    step_telegraph(surge_, now, config_.surge_mean_duration, msec(20),
+                   config_.surge_mean_interval, msec(100), config_.surge_gain,
+                   "surge");
+    step_telegraph(famine_, now, config_.famine_mean_duration, msec(30),
+                   config_.famine_mean_interval, msec(150),
+                   config_.famine_gain, "famine");
 
     // Time-multiplexed scheduling: one period-sized grant per interval.
     const std::int64_t before = buffer_bytes_;
@@ -262,8 +230,8 @@ class LteUplink {
       k *= handover_gain_;
       cap *= handover_gain_;
     }
-    if (surging_) k *= config_.surge_gain;
-    if (famine_) {
+    if (surge_.on) k *= config_.surge_gain;
+    if (famine_.on) {
       // PRB starvation hits both the slope and the ceiling: no matter how
       // much backlog the BSR advertises, the competing burst owns the PRBs.
       k *= config_.famine_gain;
@@ -296,6 +264,36 @@ class LteUplink {
     tbs_since_diag_ += drained;
     total_tbs_bytes_ += drained;
     if (probe_) probe_(now, before, drained);
+  }
+
+  /// On/off state of one random-telegraph process.
+  struct Telegraph {
+    bool on = false;
+    SimTime until = 0;    // end of the current on-window
+    SimTime next_at = 0;  // start of the next on-window
+  };
+
+  /// Ends an expired on-window, then starts the next one when due: a
+  /// floored exponential duration, then a floored exponential gap, drawn in
+  /// that order. On-windows become "b"/"e" spans named `name`.
+  void step_telegraph(Telegraph& t, SimTime now, SimDuration mean_duration,
+                      SimDuration min_duration, SimDuration mean_interval,
+                      SimDuration min_interval, double gain,
+                      const char* name) {
+    if (t.on && now >= t.until) {
+      t.on = false;
+      if (trace_) trace_->span_end(now, "lte", name, 0);
+    }
+    if (!t.on && now >= t.next_at) {
+      t.on = true;
+      t.until = now + std::max<SimDuration>(
+                          min_duration, sec_f(rng_.exponential(
+                                            to_seconds(mean_duration))));
+      t.next_at = t.until + std::max<SimDuration>(
+                                min_interval, sec_f(rng_.exponential(
+                                                  to_seconds(mean_interval))));
+      if (trace_) trace_->span_begin(now, "lte", name, 0, {{"gain", gain}});
+    }
   }
 
   void on_diag() {
@@ -331,12 +329,8 @@ class LteUplink {
   std::int64_t dropped_ = 0;
 
   RingBuffer<std::int64_t> bsr_history_;  // buffer level at past grants
-  bool surging_ = false;
-  SimTime surge_until_ = 0;
-  SimTime next_surge_at_ = 0;
-  bool famine_ = false;
-  SimTime famine_until_ = 0;
-  SimTime next_famine_at_ = 0;
+  Telegraph surge_;
+  Telegraph famine_;
   SimTime detached_until_ = 0;
   double handover_gain_ = 1.0;
   SimTime handover_gain_until_ = 0;

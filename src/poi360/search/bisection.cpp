@@ -1,19 +1,10 @@
 #include "poi360/search/bisection.h"
 
-#include <cstdio>
 #include <utility>
 
+#include "poi360/common/table.h"
+
 namespace poi360::search {
-
-namespace {
-
-std::string fmt(const char* format, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, format, v);
-  return buf;
-}
-
-}  // namespace
 
 QoeOutcome BisectionSearch::probe(Evaluator& evaluator, std::int64_t x) {
   return evaluator.evaluate({axis_.spec_at(x)}, axis_.rate_control)[0];
@@ -105,8 +96,8 @@ BisectionAxis burst_dwell_axis(std::uint64_t seed, double duration_s,
     return o.freeze_ratio >= freeze_threshold;
   };
   axis.describe = [freeze_threshold](const QoeOutcome& o) {
-    return "freeze_ratio " + fmt("%.4f", o.freeze_ratio) + " >= " +
-           fmt("%.2f", freeze_threshold);
+    return "freeze_ratio " + fmt(o.freeze_ratio, 4) + " >= " +
+           fmt(freeze_threshold, 2);
   };
   return axis;
 }

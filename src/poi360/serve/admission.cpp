@@ -14,15 +14,8 @@ Bitrate AdmissionController::headroom(SimTime now) {
 
 AdmissionController::Decision AdmissionController::decide(SimTime now,
                                                           Bitrate demand) {
-  if (demand <= headroom(now)) {
-    ++accepted_;
-    return Decision::kAccept;
-  }
-  if (config_.policy == Policy::kDegrade) {
-    ++degrade_admissions_;
-    return Decision::kDegradeAccept;
-  }
-  ++rejected_;
+  if (demand <= headroom(now)) return Decision::kAccept;
+  if (config_.policy == Policy::kDegrade) return Decision::kDegradeAccept;
   return Decision::kReject;
 }
 

@@ -66,17 +66,10 @@ class AdmissionController {
   Bitrate admitted_demand() const { return admitted_demand_; }
   const Config& config() const { return config_; }
 
-  std::int64_t accepted() const { return accepted_; }
-  std::int64_t degrade_admissions() const { return degrade_admissions_; }
-  std::int64_t rejected() const { return rejected_; }
-
  private:
   Config config_;
   lte::SharedCell cell_;
   Bitrate admitted_demand_ = 0.0;
-  std::int64_t accepted_ = 0;
-  std::int64_t degrade_admissions_ = 0;
-  std::int64_t rejected_ = 0;
 };
 
 const char* to_string(AdmissionController::Policy policy);

@@ -6,18 +6,13 @@
 
 #include "poi360/common/json.h"
 #include "poi360/common/stats.h"
+#include "poi360/common/table.h"
 #include "poi360/runner/batch_runner.h"
 #include "poi360/runner/experiment_spec.h"
 
 namespace poi360::serve {
 
 namespace {
-
-std::string fmt(const char* format, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), format, v);
-  return buf;
-}
 
 FleetPercentiles percentiles_of(const SampleSet& samples) {
   FleetPercentiles p;
@@ -29,9 +24,9 @@ FleetPercentiles percentiles_of(const SampleSet& samples) {
   return p;
 }
 
-std::string percentiles_text(const FleetPercentiles& p, const char* format) {
-  return "p10=" + fmt(format, p.p10) + " p50=" + fmt(format, p.p50) +
-         " p90=" + fmt(format, p.p90) + " p99=" + fmt(format, p.p99);
+std::string percentiles_text(const FleetPercentiles& p, int decimals) {
+  return "p10=" + fmt(p.p10, decimals) + " p50=" + fmt(p.p50, decimals) +
+         " p90=" + fmt(p.p90, decimals) + " p99=" + fmt(p.p99, decimals);
 }
 
 common::Json percentiles_json(const FleetPercentiles& p) {
@@ -433,17 +428,17 @@ std::string to_text(const FleetSummary& s) {
   out += "fleet summary: seed=" + std::to_string(s.seed) +
          " cells=" + std::to_string(s.cells) +
          " sessions_per_cell=" + std::to_string(s.sessions_per_cell) +
-         " duration_s=" + fmt("%.0f", to_seconds(s.duration)) +
+         " duration_s=" + fmt(to_seconds(s.duration), 0) +
          " sessions=" + std::to_string(s.sessions.size()) +
          " failed=" + std::to_string(s.failed_sessions) + "\n";
-  out += "  freeze_ratio   : " + percentiles_text(s.freeze, "%.4f") + "\n";
-  out += "  mismatch_ratio : " + percentiles_text(s.mismatch, "%.4f") + "\n";
-  out += "  frame_delay_ms : " + percentiles_text(s.delay_ms, "%.1f") + "\n";
+  out += "  freeze_ratio   : " + percentiles_text(s.freeze, 4) + "\n";
+  out += "  mismatch_ratio : " + percentiles_text(s.mismatch, 4) + "\n";
+  out += "  frame_delay_ms : " + percentiles_text(s.delay_ms, 1) + "\n";
   out += "  throughput     : mean_mbps=" +
-         fmt("%.3f", s.mean_throughput_mbps) +
-         " jain_all=" + fmt("%.4f", s.jain_all) + "\n";
+         fmt(s.mean_throughput_mbps, 3) +
+         " jain_all=" + fmt(s.jain_all, 4) + "\n";
   for (const auto& [rung, jain] : s.jain_by_rung) {
-    out += "  jain[" + rung + "] = " + fmt("%.4f", jain) + "\n";
+    out += "  jain[" + rung + "] = " + fmt(jain, 4) + "\n";
   }
   out += "  per-session (cell slot rung seed shown thpt_mbps freeze "
          "mismatch delay_ms p95_ms psnr_db):\n";

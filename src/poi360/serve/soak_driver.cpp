@@ -2,23 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 #include "poi360/common/json.h"
+#include "poi360/common/table.h"
 #include "poi360/runner/experiment_spec.h"
 
 namespace poi360::serve {
-
-namespace {
-
-std::string fmt(const char* format, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), format, v);
-  return buf;
-}
-
-}  // namespace
 
 SoakDriver::SoakDriver(SoakConfig config)
     : config_(std::move(config)),
@@ -466,7 +456,7 @@ SoakSummary SoakDriver::summarize() const {
 std::string to_text(const SoakSummary& s) {
   std::string out;
   out += "soak summary: seed=" + std::to_string(s.seed) +
-         " duration_s=" + fmt("%.0f", to_seconds(s.duration)) +
+         " duration_s=" + fmt(to_seconds(s.duration), 0) +
          " policy=" + s.policy + "\n";
   out += "  churn    : arrivals=" + std::to_string(s.arrivals) +
          " accepted=" + std::to_string(s.accepted) +
@@ -490,8 +480,8 @@ std::string to_text(const SoakSummary& s) {
          " skipped=" + std::to_string(s.frames_skipped) +
          " abandoned=" + std::to_string(s.frames_abandoned) +
          " frozen=" + std::to_string(s.frames_frozen) +
-         " freeze_ratio=" + fmt("%.6f", s.freeze_ratio) +
-         " mean_delay_ms=" + fmt("%.3f", s.mean_frame_delay_ms) + "\n";
+         " freeze_ratio=" + fmt(s.freeze_ratio, 6) +
+         " mean_delay_ms=" + fmt(s.mean_frame_delay_ms, 3) + "\n";
   out += "  degrade  : nudges=" + std::to_string(s.degrade_nudges) + "\n";
   out += "  snapshots: taken=" + std::to_string(s.snapshots_taken) +
          " retained=" + std::to_string(s.snapshots_retained) + "\n";

@@ -5,17 +5,22 @@
 #include <stdexcept>
 #include <utility>
 
-#include "poi360/video/kernels.h"
-
 namespace poi360::video {
 
-CompressionMatrix::CompressionMatrix(int cols, int rows, double initial)
-    : cols_(cols), rows_(rows),
-      levels_(static_cast<std::size_t>(cols) * rows, initial) {
-  if (cols <= 0 || rows <= 0 || initial < 1.0) {
-    throw std::invalid_argument("bad CompressionMatrix");
-  }
+namespace {
+
+std::vector<double> uniform_levels(int cols, int rows, double initial) {
+  // A bad shape leaves the vector empty for the level-vector constructor
+  // to reject.
+  const bool ok = cols > 0 && rows > 0;
+  return std::vector<double>(ok ? static_cast<std::size_t>(cols) * rows : 0,
+                             initial);
 }
+
+}  // namespace
+
+CompressionMatrix::CompressionMatrix(int cols, int rows, double initial)
+    : CompressionMatrix(cols, rows, uniform_levels(cols, rows, initial)) {}
 
 CompressionMatrix::CompressionMatrix(int cols, int rows,
                                      std::vector<double> levels)
@@ -24,10 +29,14 @@ CompressionMatrix::CompressionMatrix(int cols, int rows,
       levels_.size() != static_cast<std::size_t>(cols) * rows) {
     throw std::invalid_argument("bad CompressionMatrix");
   }
+  inv_levels_.reserve(levels_.size());
+  log2_levels_.reserve(levels_.size());
   for (double l : levels_) {
     if (l < 1.0) throw std::invalid_argument("compression level < 1");
+    inv_levels_.push_back(1.0 / l);
+    log2_levels_.push_back(std::log2(l));
   }
-  freeze();
+  freeze_scalars();
 }
 
 CompressionMatrix::CompressionMatrix(int cols, int rows,
@@ -39,43 +48,16 @@ CompressionMatrix::CompressionMatrix(int cols, int rows,
       levels_(std::move(levels)),
       log2_levels_(std::move(log2_levels)),
       inv_levels_(std::move(inv_levels)) {
-  // The scalar aggregates still come from the same row-major scans as
-  // freeze(), over bitwise-identical gathered values — so the result is
-  // bit-for-bit what a from-scratch build produces.
+  freeze_scalars();
+}
+
+void CompressionMatrix::freeze_scalars() {
+  // Row-major scans over bitwise-identical values on both construction
+  // paths, so a cached matrix's aggregates match a from-scratch build.
   min_level_ = *std::min_element(levels_.begin(), levels_.end());
   double sum = 0.0;
   for (double inv : inv_levels_) sum += inv;
   effective_tiles_ = sum;
-  frozen_ = true;
-}
-
-CompressionMatrix::CompressionMatrix(const CompressionMatrix& o)
-    : cols_(o.cols_),
-      rows_(o.rows_),
-      levels_(o.levels_),
-      log2_levels_(o.log2_levels_),
-      inv_levels_(o.inv_levels_),
-      min_level_(o.min_level_),
-      effective_tiles_(o.effective_tiles_),
-      frozen_(o.frozen_),
-      psnr_(o.psnr_) {
-  // sealed_ stays false: the copy is a private value (copy-on-thaw).
-}
-
-CompressionMatrix& CompressionMatrix::operator=(const CompressionMatrix& o) {
-  if (this != &o) {
-    cols_ = o.cols_;
-    rows_ = o.rows_;
-    levels_ = o.levels_;
-    log2_levels_ = o.log2_levels_;
-    inv_levels_ = o.inv_levels_;
-    min_level_ = o.min_level_;
-    effective_tiles_ = o.effective_tiles_;
-    frozen_ = o.frozen_;
-    psnr_ = o.psnr_;
-    sealed_ = false;
-  }
-  return *this;
 }
 
 std::size_t CompressionMatrix::index(TileIndex t) const {
@@ -83,24 +65,6 @@ std::size_t CompressionMatrix::index(TileIndex t) const {
     throw std::out_of_range("tile outside CompressionMatrix");
   }
   return static_cast<std::size_t>(t.j) * cols_ + t.i;
-}
-
-void CompressionMatrix::freeze() const {
-  // Same scans, same order as the old per-call implementations — the frozen
-  // values are bit-identical to what every call used to recompute.
-  min_level_ = *std::min_element(levels_.begin(), levels_.end());
-  inv_levels_.resize(levels_.size());
-  for (std::size_t k = 0; k < levels_.size(); ++k) {
-    inv_levels_[k] = 1.0 / levels_[k];
-  }
-  double sum = 0.0;
-  for (double inv : inv_levels_) sum += inv;
-  effective_tiles_ = sum;
-  log2_levels_.resize(levels_.size());
-  for (std::size_t k = 0; k < levels_.size(); ++k) {
-    log2_levels_[k] = std::log2(levels_[k]);
-  }
-  frozen_ = true;
 }
 
 const CompressionMatrix::PsnrRings& CompressionMatrix::psnr_rings(
@@ -112,7 +76,6 @@ const CompressionMatrix::PsnrRings& CompressionMatrix::psnr_rings(
   if (grid.cols() != cols_ || grid.rows() != rows_) {
     throw std::invalid_argument("grid shape does not match CompressionMatrix");
   }
-  if (!frozen_) freeze();
 
   PsnrRings& r = psnr_;
   r.db_per_octave = model.downsample_db_per_octave;
@@ -169,9 +132,8 @@ std::vector<double> CompressionMode::level_lut(const TileGrid& grid) const {
 
 namespace {
 
-/// Gathers the per-tile matrix for `roi` out of a mode's level LUT.
-/// The tile visit order matches the old direct construction, so the level
-/// vector — and therefore every frozen aggregate — is bit-identical.
+/// Gathers the per-tile matrix for `roi` out of a mode's level LUT, in
+/// row-major tile order.
 CompressionMatrix gather_from_lut(const std::vector<double>& lut,
                                   const TileGrid& grid, TileIndex roi) {
   const int rows = grid.rows();
@@ -211,12 +173,12 @@ void ModeMatrixCache::add_mode(int mode_id, const CompressionMode& mode) {
     entry.inv_lut[e] = 1.0 / entry.lut[e];
   }
   entry.matrices.assign(static_cast<std::size_t>(grid_.tile_count()),
-                        CompressionMatrixView());
+                        nullptr);
   modes_[mode_id] = std::move(entry);
 }
 
-CompressionMatrixView ModeMatrixCache::matrix(int mode_id,
-                                              TileIndex roi) const {
+std::shared_ptr<const CompressionMatrix> ModeMatrixCache::matrix(
+    int mode_id, TileIndex roi) const {
   const auto it = modes_.find(mode_id);
   if (it == modes_.end()) {
     throw std::out_of_range("mode not registered in ModeMatrixCache");
@@ -230,12 +192,15 @@ CompressionMatrixView ModeMatrixCache::matrix(int mode_id,
     const std::size_t n = static_cast<std::size_t>(grid_.tile_count());
     const std::int32_t* idx = tables_->lut_index(grid_.flat(roi));
     std::vector<double> levels(n), log2_levels(n), inv_levels(n);
-    kernels::gather(entry.lut.data(), idx, n, levels.data());
-    kernels::gather(entry.log2_lut.data(), idx, n, log2_levels.data());
-    kernels::gather(entry.inv_lut.data(), idx, n, inv_levels.data());
-    slot = CompressionMatrixView(
-        CompressionMatrix(grid_.cols(), grid_.rows(), std::move(levels),
-                          std::move(log2_levels), std::move(inv_levels)));
+    for (std::size_t k = 0; k < n; ++k) {
+      levels[k] = entry.lut[idx[k]];
+      log2_levels[k] = entry.log2_lut[idx[k]];
+      inv_levels[k] = entry.inv_lut[idx[k]];
+    }
+    // make_shared cannot reach the private adopting constructor.
+    slot = std::shared_ptr<const CompressionMatrix>(
+        new CompressionMatrix(grid_.cols(), grid_.rows(), std::move(levels),
+                              std::move(log2_levels), std::move(inv_levels)));
   }
   return slot;
 }

@@ -1,12 +1,8 @@
 #pragma once
 
-#include <cassert>
-#include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "poi360/video/quality.h"
@@ -14,100 +10,51 @@
 
 namespace poi360::video {
 
-/// Per-tile compression levels for one frame.
+/// Per-tile compression levels for one frame: an immutable value.
 ///
 /// The level l_ij is the paper's "ratio of tile size before and after
 /// compression" — i.e. the area reduction factor; l = 1 means uncompressed.
+/// Every constructor builds the matrix whole and freezes its derived
+/// structure-of-arrays data: `log2_levels_` (the quality model's
+/// downsampling penalty), `inv_levels_` (1/l, the intra-refresh scan's
+/// operand) and the scalar aggregates `min_level()` / `effective_tiles()`.
+/// A matrix a session uses is a pure function of (mode, ROI), so it is
+/// shared as `std::shared_ptr<const CompressionMatrix>`; the `const` is the
+/// whole sharing rule.
 ///
-/// Storage is structure-of-arrays: alongside the row-major `levels_`, the
-/// matrix freezes contiguous derived arrays on first use — `log2_levels_`
-/// (the quality model's downsampling penalty), `inv_levels_` (1/l, the
-/// intra-refresh scan's operand, killing its per-tile divides), and the
-/// scalar aggregates `min_level()` / `effective_tiles()`. A second frozen
-/// sidecar serves `roi_region_psnr`: per-tile linear-MSE factors
-/// `10^(downsample_db_per_octave * log2(l) / 10)` plus per-center Chebyshev
-/// ring partial sums, making the steady-state foveated PSNR O(rings) with
-/// zero transcendentals (see quality.cpp). `set()` invalidates everything;
-/// the immutable matrices served by `ModeMatrixCache` pay each freeze
-/// exactly once.
+/// The one lazy piece is the `psnr_rings` sidecar, which depends on the
+/// QualityModel as well as the levels (see below).
 class CompressionMatrix {
  public:
+  /// Uniform matrix: every tile at `initial`.
   CompressionMatrix(int cols, int rows, double initial = 1.0);
 
-  /// Builds directly from a row-major level vector (cache/builder path).
-  /// The aggregates are frozen immediately, so the result is safe to share
-  /// immutably.
+  /// Builds from a row-major level vector.
   CompressionMatrix(int cols, int rows, std::vector<double> levels);
 
-  /// Copies never inherit sharing: a copy of a sealed (cache-shared) matrix
-  /// is a fresh private value that may be mutated freely (copy-on-thaw).
-  CompressionMatrix(const CompressionMatrix& o);
-  CompressionMatrix& operator=(const CompressionMatrix& o);
-  CompressionMatrix(CompressionMatrix&&) noexcept = default;
-  CompressionMatrix& operator=(CompressionMatrix&&) noexcept = default;
-
   double at(TileIndex t) const { return levels_[index(t)]; }
-
-  /// Mutation of a sealed matrix — one shared immutably through
-  /// CompressionMatrixView — throws instead of silently thawing aggregates
-  /// other holders rely on. Copy the matrix first to mutate it.
-  void set(TileIndex t, double level) {
-    const std::size_t k = index(t);
-    if (sealed_) {
-      throw std::logic_error(
-          "CompressionMatrix::set on a matrix shared via "
-          "CompressionMatrixView; copy it to mutate");
-    }
-    levels_[k] = level;
-    frozen_ = false;
-    psnr_.built = false;
-  }
-
-  /// Unchecked hot-loop accessors: bounds are the caller's contract
-  /// (debug-asserted). The throwing `at()` stays the module-edge API.
-  double at_unchecked(int i, int j) const {
-    return levels_[unchecked_index(i, j)];
-  }
-  double at_unchecked(TileIndex t) const { return at_unchecked(t.i, t.j); }
-
-  /// Memoized log2 of the tile's level — the quality model's downsampling
-  /// penalty is `downsample_db_per_octave * log2(l)`, and recomputing the
-  /// log on all 15 FOV tiles of every displayed frame was pure waste.
-  double log2_at_unchecked(int i, int j) const {
-    if (!frozen_) freeze();
-    return log2_levels_[unchecked_index(i, j)];
-  }
 
   int cols() const { return cols_; }
   int rows() const { return rows_; }
   int tile_count() const { return cols_ * rows_; }
 
   /// Minimum level across all tiles (the ROI center's level by design).
-  double min_level() const {
-    if (!frozen_) freeze();
-    return min_level_;
-  }
+  double min_level() const { return min_level_; }
 
   /// Sum over tiles of 1/l_ij: the fraction of original pixels that survive
   /// compression, in units of tiles. Drives the encoder's pixel budget.
-  double effective_tiles() const {
-    if (!frozen_) freeze();
-    return effective_tiles_;
-  }
+  double effective_tiles() const { return effective_tiles_; }
 
-  /// Frozen contiguous 1/l_ij, row-major — the intra-refresh kernel's
-  /// operand (kernels::upgrade_gain_sum).
-  const double* inv_levels_data() const {
-    if (!frozen_) freeze();
-    return inv_levels_.data();
-  }
+  /// Contiguous 1/l_ij, row-major — the encoder's intra-refresh operand.
+  const double* inv_levels_data() const { return inv_levels_.data(); }
 
-  /// Frozen per-center ring data for `roi_region_psnr` (quality.cpp): the
-  /// per-tile linear-MSE factor array, and per (center, ring) the factor
-  /// partial sum and max. Built lazily on first use for the (grid, model)
-  /// pair and memoized; like every lazy freeze here, the first touch must
-  /// not race (ModeMatrixCache matrices are per-session, as is everything
-  /// else that calls this).
+  /// Per-center ring data for `roi_region_psnr` (quality.cpp): the
+  /// per-tile linear-MSE factors `10^(downsample_db_per_octave * log2(l) /
+  /// 10)`, and per (center, ring) the factor partial sum and max, making
+  /// the steady-state foveated PSNR O(rings) with zero transcendentals.
+  /// Built on first use for the (grid, model) pair and memoized; the first
+  /// touch must not race (ModeMatrixCache matrices are per-session, as is
+  /// everything else that calls this).
   struct PsnrRings {
     bool built = false;
     double db_per_octave = 0.0;
@@ -123,127 +70,25 @@ class CompressionMatrix {
 
  private:
   friend class ModeMatrixCache;
-  friend class CompressionMatrixView;
 
-  /// Cache path: adopt pre-gathered frozen arrays without rescanning.
-  /// The caller guarantees the derived arrays are exactly what freeze()
-  /// would compute (they are gathers of per-mode LUTs of the same math).
+  /// Cache path: adopt pre-gathered derived arrays without rescanning.
+  /// The caller guarantees they are exactly what the level-vector
+  /// constructor would compute (gathers of per-mode LUTs of the same math).
   CompressionMatrix(int cols, int rows, std::vector<double> levels,
                     std::vector<double> log2_levels,
                     std::vector<double> inv_levels);
 
-  /// Marks the matrix as immutably shared; set() fails loudly afterwards.
-  void seal() const { sealed_ = true; }
-
   std::size_t index(TileIndex t) const;
-  std::size_t unchecked_index(int i, int j) const {
-    assert(i >= 0 && i < cols_ && j >= 0 && j < rows_);
-    return static_cast<std::size_t>(j) * cols_ + i;
-  }
-  void freeze() const;
+  void freeze_scalars();
 
   int cols_;
   int rows_;
   std::vector<double> levels_;
-
-  // Frozen aggregates (not thread-safe to race with first access; freeze
-  // before sharing across threads — the cache and matrix_for both do).
-  mutable std::vector<double> log2_levels_;
-  mutable std::vector<double> inv_levels_;
-  mutable double min_level_ = 1.0;
-  mutable double effective_tiles_ = 0.0;
-  mutable bool frozen_ = false;
-  mutable bool sealed_ = false;
+  std::vector<double> log2_levels_;
+  std::vector<double> inv_levels_;
+  double min_level_ = 1.0;
+  double effective_tiles_ = 0.0;
   mutable PsnrRings psnr_;
-};
-
-/// Shared immutable handle to a CompressionMatrix, in the spirit of
-/// roi::MotionTraceView: every frame of a session points at the cache's
-/// matrix for its (mode, ROI) instead of carrying a private copy, so
-/// encoding, in-flight frame bookkeeping, and display-side quality
-/// evaluation are all allocation-free per frame.
-///
-/// Ownership is a hand-rolled *non-atomic* refcount rather than
-/// shared_ptr: views are per-session state (frames in flight, the
-/// encoder's previous matrix, the cache's slots) and never cross threads
-/// mid-quantum, exactly like the rest of Session. The atomic RMWs of
-/// shared_ptr were the dominant cost of the steady-state encode path
-/// (BM_EncodeFrame), paid several times per frame for no safety anyone
-/// used. Sessions migrating between BatchRunner workers across quanta
-/// synchronize through the runner's join, as all their state does.
-class CompressionMatrixView {
- public:
-  CompressionMatrixView() = default;
-  /// Owning wrap of an ad-hoc matrix (module edges, tests); copies once
-  /// and seals the boxed copy against further set().
-  CompressionMatrixView(CompressionMatrix m)  // NOLINT: implicit by design
-      : box_(new Box{std::move(m), 1}) {
-    box_->matrix.seal();
-  }
-
-  CompressionMatrixView(const CompressionMatrixView& o) noexcept
-      : box_(o.box_) {
-    if (box_) ++box_->refs;
-  }
-  CompressionMatrixView(CompressionMatrixView&& o) noexcept : box_(o.box_) {
-    o.box_ = nullptr;
-  }
-  CompressionMatrixView& operator=(const CompressionMatrixView& o) noexcept {
-    if (box_ != o.box_) {
-      release();
-      box_ = o.box_;
-      if (box_) ++box_->refs;
-    }
-    return *this;
-  }
-  CompressionMatrixView& operator=(CompressionMatrixView&& o) noexcept {
-    if (this != &o) {
-      release();
-      box_ = o.box_;
-      o.box_ = nullptr;
-    }
-    return *this;
-  }
-  ~CompressionMatrixView() { release(); }
-
-  const CompressionMatrix& operator*() const { return box_->matrix; }
-  const CompressionMatrix* operator->() const { return &box_->matrix; }
-  const CompressionMatrix* get() const {
-    return box_ ? &box_->matrix : nullptr;
-  }
-
-  // Forwarders so call sites read like the value type they replaced.
-  double at(TileIndex t) const { return box_->matrix.at(t); }
-  double min_level() const { return box_->matrix.min_level(); }
-  double effective_tiles() const { return box_->matrix.effective_tiles(); }
-  int cols() const { return box_->matrix.cols(); }
-  int rows() const { return box_->matrix.rows(); }
-
-  explicit operator bool() const noexcept { return box_ != nullptr; }
-
- private:
-  struct Box {
-    CompressionMatrix matrix;
-    std::int64_t refs;
-  };
-
-  // GCC's -Wuse-after-free fires a false positive here when it inlines two
-  // sibling destructors: it sees the delete in one and the refcount read in
-  // the other without being able to prove refs > 1 separates them. The
-  // refcount is exactly what makes the path impossible.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuse-after-free"
-#endif
-  void release() noexcept {
-    if (box_ && --box_->refs == 0) delete box_;
-    box_ = nullptr;
-  }
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
-  Box* box_ = nullptr;
 };
 
 /// A compression mode F: maps the (cyclic) tile distance from the ROI center
@@ -266,8 +111,7 @@ class CompressionMode {
   std::vector<double> level_lut(const TileGrid& grid) const;
 
   /// Builds the full per-tile matrix for an ROI centered at `roi`.
-  /// Goes through the level LUT, so building is a gather; the returned
-  /// matrix has its aggregates frozen.
+  /// Goes through the level LUT, so building is a gather.
   CompressionMatrix matrix_for(const TileGrid& grid, TileIndex roi) const;
 };
 
@@ -279,7 +123,7 @@ class CompressionMode {
 /// every captured frame. The cache stores each mode's level LUT — and its
 /// derived log2/inverse LUTs, so materialization is three contiguous
 /// gathers with zero transcendentals — and materializes the (mode, ROI)
-/// matrix on first use, frozen, sealed, and shared immutably ever after.
+/// matrix on first use, shared immutably ever after.
 ///
 /// Not thread-safe: intended as per-session state (BatchRunner sessions
 /// each own one), like every other Session member.
@@ -296,7 +140,8 @@ class ModeMatrixCache {
   /// Shared immutable matrix for (mode, roi). Throws on an unregistered
   /// mode or an out-of-grid roi (module edge; the per-frame path hits the
   /// memoized slot).
-  CompressionMatrixView matrix(int mode_id, TileIndex roi) const;
+  std::shared_ptr<const CompressionMatrix> matrix(int mode_id,
+                                                 TileIndex roi) const;
 
  private:
   struct ModeEntry {
@@ -304,7 +149,7 @@ class ModeMatrixCache {
     std::vector<double> log2_lut;  // log2 of each lut entry
     std::vector<double> inv_lut;   // 1 / each lut entry
     // One slot per ROI tile, materialized on first use.
-    mutable std::vector<CompressionMatrixView> matrices;
+    mutable std::vector<std::shared_ptr<const CompressionMatrix>> matrices;
   };
 
   TileGrid grid_;

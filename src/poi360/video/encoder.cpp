@@ -1,11 +1,9 @@
 #include "poi360/video/encoder.h"
 
 #include <algorithm>
-#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
-
-#include "poi360/video/kernels.h"
+#include <utility>
 
 namespace poi360::video {
 
@@ -17,14 +15,14 @@ PanoramicEncoder::PanoramicEncoder(TileGrid grid, EncoderConfig config)
   }
 }
 
-EncodedFrame PanoramicEncoder::encode(SimTime capture_time,
-                                      TileIndex sender_roi, int mode_id,
-                                      const CompressionMatrixView& levels,
-                                      Bitrate rv) {
-  if (levels.cols() != grid_.cols() || levels.rows() != grid_.rows()) {
+EncodedFrame PanoramicEncoder::encode(
+    SimTime capture_time, TileIndex sender_roi, int mode_id,
+    std::shared_ptr<const CompressionMatrix> levels, Bitrate rv) {
+  if (!levels || levels->cols() != grid_.cols() ||
+      levels->rows() != grid_.rows()) {
     throw std::invalid_argument("compression matrix does not match grid");
   }
-  const double effective_pixels = levels.effective_tiles() * tile_pixels_;
+  const double effective_pixels = levels->effective_tiles() * tile_pixels_;
 
   const double target_bits =
       std::max(0.0, config_.utilization * rv / config_.fps);
@@ -37,22 +35,25 @@ EncodedFrame PanoramicEncoder::encode(SimTime capture_time,
   // frame lack a temporal reference and cost extra bits at this frame's
   // quality level. Consecutive frames under an unchanged (mode, ROI) share
   // the same cached matrix object, so identical pointers mean zero refresh
-  // without scanning.
+  // without scanning (and no refcount traffic for prev_levels_).
   double refresh_bits = 0.0;
-  if (prev_levels_ && prev_levels_.get() != levels.get() &&
-      prev_levels_.cols() == levels.cols() &&
-      prev_levels_.rows() == levels.rows()) {
-    // Frozen inverse levels make the scan two contiguous loads and a
-    // compare per tile.
-    const double upgraded = kernels::upgrade_gain_sum(
-        levels->inv_levels_data(), prev_levels_->inv_levels_data(),
-        static_cast<std::size_t>(levels->tile_count()));
-    refresh_bits =
-        config_.refresh_intra_factor * bpp * upgraded * tile_pixels_;
+  if (prev_levels_ != levels) {
+    if (prev_levels_) {
+      // Upgrade mass sum_k max(0, 1/l_cur - 1/l_prev) in units of tiles,
+      // accumulated left to right over the row-major inverse levels.
+      const double* inv_cur = levels->inv_levels_data();
+      const double* inv_prev = prev_levels_->inv_levels_data();
+      const int n = levels->tile_count();
+      double upgraded = 0.0;
+      for (int k = 0; k < n; ++k) {
+        const double gain = inv_cur[k] - inv_prev[k];
+        if (gain > 0.0) upgraded += gain;
+      }
+      refresh_bits =
+          config_.refresh_intra_factor * bpp * upgraded * tile_pixels_;
+    }
+    prev_levels_ = levels;
   }
-  // View assignment to the same box is a pointer compare, nothing more —
-  // the steady-state (unchanged matrix) frame touches no refcount.
-  prev_levels_ = levels;
 
   // * 0.125 is exactly / 8.0 (power of two), minus the fdiv.
   const std::int64_t bytes =
@@ -64,7 +65,7 @@ EncodedFrame PanoramicEncoder::encode(SimTime capture_time,
       .capture_time = capture_time,
       .sender_roi = sender_roi,
       .mode_id = mode_id,
-      .levels = levels,
+      .levels = std::move(levels),
       .bytes = bytes,
       .bpp = bpp,
   };

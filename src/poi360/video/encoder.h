@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "poi360/common/units.h"
 #include "poi360/video/frame.h"
@@ -50,11 +51,11 @@ class PanoramicEncoder {
   PanoramicEncoder(TileGrid grid, EncoderConfig config);
 
   /// Encodes one frame under compression matrix `levels` at target bitrate
-  /// `rv`. `sender_roi` and `mode_id` are embedded as metadata. Accepts a
-  /// shared view (a plain CompressionMatrix converts implicitly, copying
-  /// once — hot paths should pass a cached view).
+  /// `rv`. `sender_roi` and `mode_id` are embedded as metadata. Hot paths
+  /// pass ModeMatrixCache's shared matrix, which the frame then references.
   EncodedFrame encode(SimTime capture_time, TileIndex sender_roi, int mode_id,
-                      const CompressionMatrixView& levels, Bitrate rv);
+                      std::shared_ptr<const CompressionMatrix> levels,
+                      Bitrate rv);
 
   const TileGrid& grid() const { return grid_; }
   const EncoderConfig& config() const { return config_; }
@@ -71,7 +72,8 @@ class PanoramicEncoder {
   // of the steady-state encode cost. Exact: tile pixel counts fit a double.
   double tile_pixels_ = 0.0;
   std::int64_t next_id_ = 0;
-  CompressionMatrixView prev_levels_;  // empty until the first frame
+  // Empty until the first frame.
+  std::shared_ptr<const CompressionMatrix> prev_levels_;
 };
 
 }  // namespace poi360::video

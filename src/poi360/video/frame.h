@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "poi360/common/time.h"
 #include "poi360/video/compression.h"
@@ -26,10 +27,10 @@ struct EncodedFrame {
   /// or a scheme-specific constant for the baselines).
   int mode_id = 0;
 
-  /// Per-tile compression levels actually applied. A shared view: frames
-  /// reference the session's cached (mode, ROI) matrix instead of carrying
-  /// a private copy, so capturing/relaying a frame never copies the matrix.
-  CompressionMatrixView levels;
+  /// Per-tile compression levels actually applied. Frames share the
+  /// session's cached (mode, ROI) matrix instead of carrying a private
+  /// copy, so capturing/relaying a frame never copies the matrix.
+  std::shared_ptr<const CompressionMatrix> levels;
 
   /// Encoded size on the wire.
   std::int64_t bytes = 0;

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "poi360/video/compression.h"
-#include "poi360/video/kernels.h"
 #include "poi360/video/tile_grid.h"
 
 namespace poi360::video {
@@ -78,9 +78,13 @@ double roi_region_psnr(const QualityModel& model, const TileGrid& grid,
       // whole gather collapses into one multiply by the frozen partial sum.
       ring_mse = enc_mse * pr.ring_sum[slot];
     } else {
-      ring_mse = kernels::ring_mse_sum(pr.mse_factors.data(),
-                                       pr.tables->ring_tiles(c, ring),
-                                       ring_count, enc_mse, pr.floor_mse);
+      // Some tile clamps: gather the ring and apply the floor tile by tile,
+      // accumulating left to right in the ring walk's order.
+      const std::int32_t* idx = pr.tables->ring_tiles(c, ring);
+      ring_mse = 0.0;
+      for (int k = 0; k < ring_count; ++k) {
+        ring_mse += std::min(pr.floor_mse, enc_mse * pr.mse_factors[idx[k]]);
+      }
     }
     weighted_mse += kRingWeight[ring] * ring_mse / ring_count;
     total_weight += kRingWeight[ring];

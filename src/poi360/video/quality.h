@@ -48,7 +48,7 @@ struct QualityModel {
 
   /// Hot-path variant of `tile_psnr` with the encoder term precomputed by
   /// the caller (it depends only on bpp, not the tile) and log2(level)
-  /// memoized (CompressionMatrix caches it at freeze). Same arithmetic as
+  /// memoized (CompressionMatrix freezes it when built). Same arithmetic as
   /// `tile_psnr`, bit for bit.
   double tile_psnr_from(double encode_psnr_db, double log2_level) const {
     const double penalty = downsample_db_per_octave * log2_level;

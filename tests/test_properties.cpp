@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 
 #include "poi360/common/rng.h"
@@ -111,11 +112,13 @@ TEST(Fuzz, EncoderBytesAlwaysWithinModelBounds) {
     const auto& mode = table.mode(static_cast<int>(rng.uniform_int(1, 8)));
     const video::TileIndex roi{static_cast<int>(rng.uniform_int(0, 11)),
                                static_cast<int>(rng.uniform_int(0, 7))};
-    const auto matrix = mode.matrix_for(grid, roi);
+    const auto matrix =
+        std::make_shared<const video::CompressionMatrix>(
+            mode.matrix_for(grid, roi));
     const Bitrate rv = rng.uniform(0.0, 15e6);
     const auto frame = enc.encode(msec(i), roi, 1, matrix, rv);
     const double eff_px =
-        matrix.effective_tiles() * static_cast<double>(grid.tile_pixels());
+        matrix->effective_tiles() * static_cast<double>(grid.tile_pixels());
     const double bits =
         static_cast<double>(frame.bytes - config.overhead_bytes) * 8.0;
     EXPECT_GE(bits, config.floor_bpp * eff_px - 8.0);

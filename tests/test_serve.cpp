@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <map>
 #include <string>
 
 #include "poi360/common/json.h"
@@ -131,6 +132,17 @@ TEST(ManagedSession, WatchdogDetectsDeadMediaPath) {
 // ---------------------------------------------------------------------------
 // Admission controller.
 
+using Decision = AdmissionController::Decision;
+
+/// Counts the decisions decide() returns, passing each one through.
+struct DecisionTally {
+  std::map<Decision, int> count;
+  Decision operator()(Decision d) {
+    ++count[d];
+    return d;
+  }
+};
+
 TEST(Admission, RejectPolicyRefusesBeyondHeadroom) {
   AdmissionController::Config config;
   config.policy = AdmissionController::Policy::kReject;
@@ -138,18 +150,19 @@ TEST(Admission, RejectPolicyRefusesBeyondHeadroom) {
   config.headroom_fraction = 1.0;
   config.cell.background_users = 0;  // share pinned at 1.0: deterministic
   AdmissionController admission(config, 1);
+  DecisionTally tally;
 
-  EXPECT_EQ(admission.decide(0, mbps(1.5)), AdmissionController::Decision::kAccept);
+  EXPECT_EQ(tally(admission.decide(0, mbps(1.5))), Decision::kAccept);
   admission.on_admitted(mbps(1.5));
-  EXPECT_EQ(admission.decide(0, mbps(1.5)), AdmissionController::Decision::kAccept);
+  EXPECT_EQ(tally(admission.decide(0, mbps(1.5))), Decision::kAccept);
   admission.on_admitted(mbps(1.5));
   // 3.0 of 4.0 reserved; a third 1.5 does not fit.
-  EXPECT_EQ(admission.decide(0, mbps(1.5)), AdmissionController::Decision::kReject);
-  EXPECT_EQ(admission.rejected(), 1);
+  EXPECT_EQ(tally(admission.decide(0, mbps(1.5))), Decision::kReject);
+  EXPECT_EQ(tally.count[Decision::kReject], 1);
 
   admission.on_released(mbps(1.5));
-  EXPECT_EQ(admission.decide(0, mbps(1.5)), AdmissionController::Decision::kAccept);
-  EXPECT_EQ(admission.accepted(), 3);
+  EXPECT_EQ(tally(admission.decide(0, mbps(1.5))), Decision::kAccept);
+  EXPECT_EQ(tally.count[Decision::kAccept], 3);
 }
 
 TEST(Admission, DegradePolicyAdmitsBeyondHeadroom) {
@@ -159,13 +172,13 @@ TEST(Admission, DegradePolicyAdmitsBeyondHeadroom) {
   config.headroom_fraction = 1.0;
   config.cell.background_users = 0;
   AdmissionController admission(config, 1);
+  DecisionTally tally;
 
-  EXPECT_EQ(admission.decide(0, mbps(1.5)), AdmissionController::Decision::kAccept);
+  EXPECT_EQ(tally(admission.decide(0, mbps(1.5))), Decision::kAccept);
   admission.on_admitted(mbps(1.5));
-  EXPECT_EQ(admission.decide(0, mbps(1.5)),
-            AdmissionController::Decision::kDegradeAccept);
-  EXPECT_EQ(admission.degrade_admissions(), 1);
-  EXPECT_EQ(admission.rejected(), 0);
+  EXPECT_EQ(tally(admission.decide(0, mbps(1.5))), Decision::kDegradeAccept);
+  EXPECT_EQ(tally.count[Decision::kDegradeAccept], 1);
+  EXPECT_EQ(tally.count[Decision::kReject], 0);
 }
 
 // ---------------------------------------------------------------------------

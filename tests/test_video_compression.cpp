@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "poi360/baseline/conduit.h"
@@ -9,6 +12,16 @@
 
 namespace poi360::video {
 namespace {
+
+// A matrix is built whole and never mutated: shared matrices are immutable
+// by type, not by a runtime check.
+template <typename M>
+concept MutableLevels = requires(M& m) { m.set(TileIndex{}, 1.0); };
+static_assert(!MutableLevels<CompressionMatrix>);
+static_assert(
+    std::is_same_v<decltype(std::declval<const ModeMatrixCache&>().matrix(
+                       0, TileIndex{})),
+                   std::shared_ptr<const CompressionMatrix>>);
 
 TEST(CompressionMatrix, InitializesUniform) {
   CompressionMatrix m(12, 8, 2.0);
@@ -21,22 +34,26 @@ TEST(CompressionMatrix, InitializesUniform) {
 }
 
 TEST(CompressionMatrix, SetAndGet) {
-  CompressionMatrix m(4, 4);
-  m.set({2, 3}, 8.0);
+  std::vector<double> levels(16, 1.0);
+  levels[3 * 4 + 2] = 8.0;  // tile (2, 3), row-major
+  const CompressionMatrix m(4, 4, std::move(levels));
   EXPECT_DOUBLE_EQ(m.at({2, 3}), 8.0);
+  EXPECT_DOUBLE_EQ(m.at({3, 2}), 1.0);
   EXPECT_DOUBLE_EQ(m.min_level(), 1.0);
+  EXPECT_DOUBLE_EQ(m.effective_tiles(), 15.125);
 }
 
 TEST(CompressionMatrix, OutOfRangeThrows) {
   CompressionMatrix m(4, 4);
   EXPECT_THROW(m.at({4, 0}), std::out_of_range);
   EXPECT_THROW(m.at({0, -1}), std::out_of_range);
-  EXPECT_THROW(m.set({0, 4}, 2.0), std::out_of_range);
+  EXPECT_THROW(m.at({0, 4}), std::out_of_range);
 }
 
 TEST(CompressionMatrix, BadConstructionThrows) {
   EXPECT_THROW(CompressionMatrix(0, 4), std::invalid_argument);
   EXPECT_THROW(CompressionMatrix(4, 4, 0.5), std::invalid_argument);
+  EXPECT_THROW(CompressionMatrix(-1, 4), std::invalid_argument);
 }
 
 TEST(GeometricMode, FollowsEquationOne) {
@@ -171,27 +188,23 @@ INSTANTIATE_TEST_SUITE_P(
                       MatrixCase{6, 2, 2}, MatrixCase{7, 9, 6},
                       MatrixCase{8, 6, 4}, MatrixCase{8, 11, 0}));
 
-TEST(CompressionMatrix, AggregatesRefreshAfterSet) {
-  CompressionMatrix m(4, 4);
-  EXPECT_DOUBLE_EQ(m.effective_tiles(), 16.0);
-  m.set({1, 1}, 2.0);  // must invalidate the frozen aggregates
-  EXPECT_DOUBLE_EQ(m.effective_tiles(), 15.5);
-  EXPECT_DOUBLE_EQ(m.min_level(), 1.0);
-  m.set({1, 1}, 4.0);
-  EXPECT_DOUBLE_EQ(m.effective_tiles(), 15.25);
-}
-
+// The frozen log2 levels feed the PSNR sidecar's per-tile MSE factors; a
+// factor built from them must equal one built from std::log2, bit for bit.
 TEST(CompressionMatrix, Log2CacheMatchesStdLog2) {
-  CompressionMatrix m(4, 4, 1.0);
-  m.set({2, 1}, 5.0);
-  m.set({0, 3}, 64.0);
+  std::vector<double> levels(16, 1.0);
+  levels[1 * 4 + 2] = 5.0;
+  levels[3 * 4 + 0] = 64.0;
+  const CompressionMatrix m(4, 4, std::move(levels));
+  const QualityModel q;
+  const TileGrid grid(4, 4, 1920, 960);
+  const CompressionMatrix::PsnrRings& pr = m.psnr_rings(grid, q);
   for (int j = 0; j < 4; ++j) {
     for (int i = 0; i < 4; ++i) {
-      EXPECT_EQ(m.log2_at_unchecked(i, j), std::log2(m.at({i, j})));
+      EXPECT_EQ(pr.mse_factors[static_cast<std::size_t>(j) * 4 + i],
+                std::pow(10.0, q.downsample_db_per_octave *
+                                   std::log2(m.at({i, j})) / 10.0));
     }
   }
-  m.set({2, 1}, 9.0);  // cache refreshes after mutation
-  EXPECT_EQ(m.log2_at_unchecked(2, 1), std::log2(9.0));
 }
 
 TEST(CompressionMatrix, VectorConstructorValidates) {
@@ -200,19 +213,6 @@ TEST(CompressionMatrix, VectorConstructorValidates) {
                std::invalid_argument);
   EXPECT_THROW(CompressionMatrix(2, 2, std::vector<double>{1, 2, 3, 0.5}),
                std::invalid_argument);
-}
-
-TEST(CompressionMatrixView, ForwardsAndShares) {
-  const TileGrid grid = TileGrid::paper_default();
-  const GeometricMode mode(1.4);
-  const CompressionMatrixView view(mode.matrix_for(grid, {6, 4}));
-  EXPECT_TRUE(static_cast<bool>(view));
-  EXPECT_EQ(view.cols(), grid.cols());
-  EXPECT_EQ(view.at({6, 4}), 1.0);
-  EXPECT_EQ(view.min_level(), 1.0);
-  const CompressionMatrixView copy = view;  // shares, no deep copy
-  EXPECT_EQ(copy.get(), view.get());
-  EXPECT_FALSE(static_cast<bool>(CompressionMatrixView{}));
 }
 
 // Golden equivalence: for every mode in the adaptive table and every ROI
@@ -231,12 +231,12 @@ TEST(ModeMatrixCache, CachedMatchesUncachedBitwiseAllModesAllRois) {
       for (int ri = 0; ri < grid.cols(); ++ri) {
         const CompressionMatrix direct =
             table.mode(m).matrix_for(grid, {ri, rj});
-        const CompressionMatrixView cached = cache.matrix(m, {ri, rj});
-        ASSERT_EQ(cached.min_level(), direct.min_level());
-        ASSERT_EQ(cached.effective_tiles(), direct.effective_tiles());
+        const auto cached = cache.matrix(m, {ri, rj});
+        ASSERT_EQ(cached->min_level(), direct.min_level());
+        ASSERT_EQ(cached->effective_tiles(), direct.effective_tiles());
         for (int j = 0; j < grid.rows(); ++j) {
           for (int i = 0; i < grid.cols(); ++i) {
-            ASSERT_EQ(cached.at({i, j}), direct.at({i, j}))
+            ASSERT_EQ(cached->at({i, j}), direct.at({i, j}))
                 << "mode " << m << " roi (" << ri << "," << rj << ") tile ("
                 << i << "," << j << ")";
           }
@@ -264,8 +264,8 @@ TEST(ModeMatrixCache, CachedMatchesUncachedForBaselines) {
           cache.matrix(baseline::PyramidMode::kModeId, {ri, rj});
       for (int j = 0; j < grid.rows(); ++j) {
         for (int i = 0; i < grid.cols(); ++i) {
-          ASSERT_EQ(c_cached.at({i, j}), c_direct.at({i, j}));
-          ASSERT_EQ(p_cached.at({i, j}), p_direct.at({i, j}));
+          ASSERT_EQ(c_cached->at({i, j}), c_direct.at({i, j}));
+          ASSERT_EQ(p_cached->at({i, j}), p_direct.at({i, j}));
         }
       }
     }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "poi360/video/compression.h"
 #include "poi360/video/quality.h"
@@ -80,13 +82,15 @@ TEST(RoiRegionPsnr, UniformFrameMatchesTilePsnr) {
 TEST(RoiRegionPsnr, BadPeripheryDragsRegionDown) {
   const QualityModel q;
   const TileGrid grid = TileGrid::paper_default();
-  CompressionMatrix m(grid.cols(), grid.rows(), 1.0);
   // Degrade everything outside the immediate 3x3 window (Conduit-like).
+  std::vector<double> levels;
   for (int j = 0; j < grid.rows(); ++j) {
     for (int i = 0; i < grid.cols(); ++i) {
-      if (grid.dx(i, 6) > 1 || grid.dy(j, 4) > 1) m.set({i, j}, 256.0);
+      const bool far = grid.dx(i, 6) > 1 || grid.dy(j, 4) > 1;
+      levels.push_back(far ? 256.0 : 1.0);
     }
   }
+  const CompressionMatrix m(grid.cols(), grid.rows(), std::move(levels));
   const double crisp = q.tile_psnr(0.06, 1.0);
   const double region = roi_region_psnr(q, grid, m, {6, 4}, 0.06);
   EXPECT_LT(region, crisp);          // ring 2 is visible
