@@ -7,6 +7,7 @@
 // proportional-fair scheduler fed.
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "poi360/common/table.h"
 #include "util/experiment.h"
@@ -15,12 +16,17 @@ using namespace poi360;
 
 int main(int argc, char** argv) {
   bench::init(argc, argv);
-  auto config = bench::transport_config(core::RateControl::kGcc, sec(200));
-  const auto runs = bench::run_sessions(config, 5);
+  const runner::BatchResult batch = bench::run(
+      runner::ExperimentSpec(
+          bench::transport_config(core::RateControl::kGcc, sec(200)))
+          .repeats(5));
+  if (batch.failed_count() > 0) {
+    throw std::runtime_error("fig06: a run failed");
+  }
 
   SampleSet levels;
-  for (const auto& run : runs) {
-    const SampleSet run_levels = run.buffer_levels_kb();
+  for (const metrics::SessionMetrics* run : batch.metrics_where()) {
+    const SampleSet run_levels = run->buffer_levels_kb();
     for (double v : run_levels.samples()) levels.add(v);
   }
 

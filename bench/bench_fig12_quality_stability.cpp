@@ -7,6 +7,7 @@
 // (Conduit oscillates between its only two levels on every ROI shift).
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "poi360/common/table.h"
 #include "util/experiment.h"
@@ -27,9 +28,13 @@ int main(int argc, char** argv) {
                 core::to_string(network).c_str());
     Table t({"scheme", "mean std", "median", "p90", "p99"});
     for (auto scheme : schemes) {
-      const auto runs =
-          bench::run_sessions(bench::micro_config(scheme, network), kRuns);
-      const auto var = bench::pooled_level_variation(runs);
+      const runner::BatchResult batch = bench::run(
+          runner::ExperimentSpec(bench::micro_config(scheme, network))
+              .repeats(kRuns));
+      if (batch.failed_count() > 0) {
+        throw std::runtime_error("fig12: a run failed");
+      }
+      const auto var = bench::pooled_level_variation(batch.metrics_where());
       t.add_row({core::to_string(scheme), fmt(var.mean(), 2),
                  fmt(var.median(), 2), fmt(var.percentile(0.9), 2),
                  fmt(var.percentile(0.99), 2)});

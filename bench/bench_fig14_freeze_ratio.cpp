@@ -7,6 +7,7 @@
 // stays below ~3%.
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "poi360/common/table.h"
 #include "util/experiment.h"
@@ -25,8 +26,13 @@ int main(int argc, char** argv) {
   Table t({"network", "scheme", "freeze ratio", "displayed", "skipped"});
   for (auto network : networks) {
     for (auto scheme : schemes) {
-      const auto merged = bench::run_merged(
-          bench::micro_config(scheme, network), kRuns);
+      const runner::BatchResult batch = bench::run(
+          runner::ExperimentSpec(bench::micro_config(scheme, network))
+              .repeats(kRuns));
+      if (batch.failed_count() > 0) {
+        throw std::runtime_error("fig14: a run failed");
+      }
+      const metrics::SessionMetrics merged = batch.merged();
       t.add_row({core::to_string(network), core::to_string(scheme),
                  fmt_pct(merged.freeze_ratio()),
                  std::to_string(merged.displayed_frames()),

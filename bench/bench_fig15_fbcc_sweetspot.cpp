@@ -7,6 +7,7 @@
 // low-usage region (empty-ish buffer, < 2 Mbps granted).
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "poi360/common/table.h"
 #include "util/experiment.h"
@@ -16,7 +17,7 @@ using namespace poi360;
 namespace {
 
 void summarize(const char* label,
-               const std::vector<metrics::SessionMetrics>& runs) {
+               const std::vector<const metrics::SessionMetrics*>& runs) {
   // Region split following the paper: low usage (TBS/s < 2 Mbps),
   // high usage (>= 2 Mbps, buffer below the saturation knee), overuse
   // (buffer beyond the knee, throughput no longer grows).
@@ -27,8 +28,8 @@ void summarize(const char* label,
   constexpr int kBins = 10;
   RunningStats bins[kBins + 1];
 
-  for (const auto& run : runs) {
-    for (const auto& r : run.rate_samples()) {
+  for (const metrics::SessionMetrics* run : runs) {
+    for (const auto& r : run->rate_samples()) {
       const double kb = static_cast<double>(r.fw_buffer_bytes) / 1024.0;
       const double mb = to_mbps(r.rphy);
       ++total;
@@ -70,9 +71,13 @@ int main(int argc, char** argv) {
   bench::init(argc, argv);
   std::printf("=== Fig. 15: buffer level vs UL TBS/s, FBCC vs GCC ===\n\n");
   for (auto rc : {core::RateControl::kFbcc, core::RateControl::kGcc}) {
-    const auto runs =
-        bench::run_sessions(bench::transport_config(rc, sec(200)), 5);
-    summarize(core::to_string(rc).c_str(), runs);
+    const runner::BatchResult batch = bench::run(
+        runner::ExperimentSpec(bench::transport_config(rc, sec(200)))
+            .repeats(5));
+    if (batch.failed_count() > 0) {
+      throw std::runtime_error("fig15: a run failed");
+    }
+    summarize(core::to_string(rc).c_str(), batch.metrics_where());
   }
   std::printf("Shape check: FBCC mass in the high-usage band around the\n"
               "saturation knee; GCC mass in the low-usage region.\n");

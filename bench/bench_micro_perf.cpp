@@ -417,7 +417,7 @@ static void BM_ReceiverFrame(benchmark::State& state) {
   sim::Simulator simulator;
   std::int64_t completed = 0;
   rtp::RtpReceiver receiver(
-      simulator,
+      simulator, rtp::RtpReceiver::Config{},
       [&completed](const rtp::RtpReceiver::CompletedFrame&) { ++completed; },
       [](const std::vector<std::int64_t>&) {});
   rtp::RtpPacket packet;

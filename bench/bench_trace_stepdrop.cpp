@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 
 #include "poi360/common/table.h"
 #include "poi360/lte/trace.h"
@@ -27,7 +28,12 @@ int main(int argc, char** argv) {
   for (auto rc : {core::RateControl::kFbcc, core::RateControl::kGcc}) {
     auto config = bench::transport_config(rc, sec(200));
     config.channel.capacity_trace = trace;
-    const auto runs = bench::run_sessions(config, 4);
+    const runner::BatchResult batch =
+        bench::run(runner::ExperimentSpec(config).repeats(4));
+    if (batch.failed_count() > 0) {
+      throw std::runtime_error("trace_stepdrop: a run failed");
+    }
+    const auto runs = batch.metrics_where();
     const auto merged = metrics::merge(runs);
     t.add_row({core::to_string(rc), fmt_pct(merged.freeze_ratio()),
                fmt(bench::pooled_delays_ms(runs).percentile(0.99), 0),

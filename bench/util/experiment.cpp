@@ -6,7 +6,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <stdexcept>
 
 #include "poi360/common/table.h"
 #include "util/options.h"
@@ -129,29 +128,6 @@ runner::BatchResult run(const runner::ExperimentSpec& spec) {
   return batch;
 }
 
-std::vector<metrics::SessionMetrics> run_sessions(
-    const core::SessionConfig& base, int runs, std::uint64_t seed0) {
-  runner::ExperimentSpec spec(base);
-  spec.repeats(runs).seed0(seed0);
-  const runner::BatchResult batch = run(spec);
-  std::vector<metrics::SessionMetrics> out;
-  out.reserve(batch.runs.size());
-  for (const runner::RunResult& r : batch.runs) {
-    // Preserve the historical contract: a failed run propagates.
-    if (!r.ok) {
-      throw std::runtime_error("run " + r.spec.label() +
-                               " failed: " + r.error);
-    }
-    out.push_back(r.metrics);
-  }
-  return out;
-}
-
-metrics::SessionMetrics run_merged(const core::SessionConfig& base, int runs,
-                                   std::uint64_t seed0) {
-  return metrics::merge(run_sessions(base, runs, seed0));
-}
-
 namespace {
 
 template <typename Runs, typename Sampler>
@@ -167,23 +143,10 @@ SampleSet pooled(const Runs& runs, Sampler sampler) {
 }  // namespace
 
 SampleSet pooled_level_variation(
-    const std::vector<metrics::SessionMetrics>& runs, SimDuration window) {
-  return pooled(runs, [&](const metrics::SessionMetrics& m) {
-    return m.roi_level_variation(window);
-  });
-}
-
-SampleSet pooled_level_variation(
     const std::vector<const metrics::SessionMetrics*>& runs,
     SimDuration window) {
   return pooled(runs, [&](const metrics::SessionMetrics* m) {
     return m->roi_level_variation(window);
-  });
-}
-
-SampleSet pooled_delays_ms(const std::vector<metrics::SessionMetrics>& runs) {
-  return pooled(runs, [](const metrics::SessionMetrics& m) {
-    return m.frame_delays_ms();
   });
 }
 

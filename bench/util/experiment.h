@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -16,8 +15,7 @@
 // runner::ExperimentSpec (base config + axes + repeats) and execute it with
 // bench::run(), which farms the grid over the --jobs worker pool; results
 // come back in grid order, so every figure is byte-identical no matter how
-// many workers ran it. The legacy run_sessions/run_merged entry points are
-// thin shims over the same runner.
+// many workers ran it.
 
 namespace poi360::bench {
 
@@ -46,32 +44,13 @@ const std::string& trace_dir();
 /// and accounts its runs/wall-clock into the per-bench report.
 runner::BatchResult run(const runner::ExperimentSpec& spec);
 
-/// Legacy shim: runs `runs` sessions of `base` with distinct seeds; returns
-/// each run's metrics in seed order. Seeds follow the single documented
-/// contract, runner::derive_seed (seed0 + r * kSeedStride). Prefer building
-/// an ExperimentSpec — the shim throws on the first failed run instead of
-/// reporting it, and cannot name axes in emitted results.
-std::vector<metrics::SessionMetrics> run_sessions(
-    const core::SessionConfig& base, int runs,
-    std::uint64_t seed0 = runner::kDefaultSeed0);
-
-/// Legacy shim over run_sessions that pools everything into one metrics
-/// object (distribution metrics that need per-run time continuity are
-/// computed per run by callers).
-metrics::SessionMetrics run_merged(const core::SessionConfig& base, int runs,
-                                   std::uint64_t seed0 = runner::kDefaultSeed0);
-
 /// Pools the per-run ROI-compression-level sliding-window variation samples
 /// (Fig. 12) — must be computed per run, then pooled.
-SampleSet pooled_level_variation(
-    const std::vector<metrics::SessionMetrics>& runs,
-    SimDuration window = sec(2));
 SampleSet pooled_level_variation(
     const std::vector<const metrics::SessionMetrics*>& runs,
     SimDuration window = sec(2));
 
 /// Pools per-run frame-delay samples (ms).
-SampleSet pooled_delays_ms(const std::vector<metrics::SessionMetrics>& runs);
 SampleSet pooled_delays_ms(
     const std::vector<const metrics::SessionMetrics*>& runs);
 

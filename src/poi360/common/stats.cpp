@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace poi360 {
 
@@ -122,30 +121,6 @@ double SlidingWindowStats::stddev() const {
   double s = 0.0;
   for (const auto& [t, v] : samples_) s += (v - m) * (v - m);
   return std::sqrt(s / static_cast<double>(samples_.size()));
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (bins == 0 || !(hi > lo)) throw std::invalid_argument("bad histogram");
-}
-
-void Histogram::add(double x) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / width);
-  idx = std::clamp<std::ptrdiff_t>(
-      idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_fraction(std::size_t i) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(counts_.at(i)) / static_cast<double>(total_);
-}
-
-double Histogram::bin_center(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * (static_cast<double>(i) + 0.5);
 }
 
 }  // namespace poi360

@@ -119,23 +119,4 @@ class SlidingWindowStats {
   std::deque<std::pair<SimTime, double>> samples_;
 };
 
-/// Fixed-bin histogram over [lo, hi); out-of-range samples clamp to the
-/// edge bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t total() const { return total_; }
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  double bin_fraction(std::size_t i) const;
-  double bin_center(std::size_t i) const;
-  std::size_t bins() const { return counts_.size(); }
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
 }  // namespace poi360

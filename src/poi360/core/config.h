@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "poi360/common/time.h"
@@ -17,7 +16,6 @@
 #include "poi360/obs/trace.h"
 #include "poi360/roi/head_motion.h"
 #include "poi360/roi/prediction.h"
-#include "poi360/roi/trace_motion.h"
 #include "poi360/rtp/jitter_buffer.h"
 #include "poi360/rtp/receiver.h"
 #include "poi360/video/encoder.h"
@@ -87,9 +85,6 @@ struct SessionConfig {
 
   // -- viewer ---------------------------------------------------------------
   roi::HeadMotionParams head_motion{};
-  /// When set, replay this recorded viewer instead of sampling the
-  /// stochastic model — the human-side counterpart of `capacity_trace`.
-  std::shared_ptr<const roi::MotionTrace> motion_trace;
   MismatchTracker::Config mismatch{};
   /// Motion-based ROI prediction horizon (§8); 0 disables prediction and
   /// the sender uses the viewer's last reported ROI verbatim.

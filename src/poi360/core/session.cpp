@@ -26,6 +26,9 @@ Session::Session(SessionConfig config)
       gcc_sender_(config.initial_rate, config.gcc_loss),
       sender_roi_{config.grid_cols / 2, config.grid_rows / 2},
       roi_predictor_(config.roi_predictor),
+      // The viewer's seed must stay the first draw from rng_: every other
+      // component's fork follows it.
+      head_motion_(config.head_motion, rng_.fork(0xA11CE).engine()()),
       mismatch_tracker_(config.mismatch),
       gcc_receiver_(config.initial_rate, config.gcc_receiver),
       playout_(config.playout) {
@@ -33,14 +36,6 @@ Session::Session(SessionConfig config)
   if (!cellular && config_.rate_control == RateControl::kFbcc) {
     throw std::invalid_argument(
         "FBCC requires the cellular network: it reads modem diagnostics");
-  }
-
-  if (config_.motion_trace && !config_.motion_trace->empty()) {
-    head_motion_ =
-        std::make_unique<roi::MotionTraceView>(config_.motion_trace);
-  } else {
-    head_motion_ = std::make_unique<roi::StochasticHeadMotion>(
-        config_.head_motion, rng_.fork(0xA11CE).engine()());
   }
 
   // One matrix cache serves every per-frame compression lookup: the adaptive
@@ -399,7 +394,6 @@ void Session::on_packet_paced(rtp::RtpPacket packet) {
     trace_->span_begin(sim_.now(), "frame", "phy", packet.frame_id,
                        {{"fragments", static_cast<double>(packet.fragments)}});
   }
-  if (packet.is_retransmission) queued_retx_.erase(packet.seq);
   sent_cache_.insert(packet);
   if (uplink_) {
     uplink_->push(std::move(packet));
@@ -461,25 +455,15 @@ void Session::on_nack(const NackMsg& msg) {
     ++sender_frames_dropped_;
   }
 
-  const SimTime now = sim_.now();
-  // An entry as old as the dedup window can never suppress a copy again.
-  std::erase_if(recent_retx_, [now](const auto& entry) {
-    return now - entry.second >= kRetxDedupWindow;
-  });
   for (std::int64_t seq : msg.seqs) {
     // A retransmission is in flight while it still waits in the pacer and
     // for a dedup window after it was queued. Queueing a second copy behind
-    // a slow pacer would only grow the backlog every frame waits behind.
-    if (queued_retx_.contains(seq)) continue;
-    const auto recent = recent_retx_.find(seq);
-    if (recent != recent_retx_.end() &&
-        now - recent->second < kRetxDedupWindow) {
-      continue;
-    }
-    if (auto packet = sent_cache_.lookup(seq)) {
+    // a slow pacer would only grow the backlog every frame waits behind. A
+    // copy a PLI purged from the pacer stays marked queued: the receiver
+    // has given up on its frame.
+    if (auto packet = sent_cache_.claim_retransmission(seq, sim_.now(),
+                                                       kRetxDedupWindow)) {
       packet->is_retransmission = true;
-      recent_retx_[seq] = now;
-      queued_retx_.insert(seq);
       pacer_->enqueue_front(*packet);
     }
   }
@@ -582,7 +566,7 @@ void Session::on_display(const rtp::RtpReceiver::CompletedFrame& f) {
   const video::EncodedFrame& frame = it->second;
 
   const SimTime now = sim_.now();
-  const roi::Orientation gaze = head_motion_->orientation_at(now);
+  const roi::Orientation gaze = head_motion_.orientation_at(now);
   const video::TileIndex actual_roi =
       grid_.tile_at(gaze.yaw_deg, gaze.pitch_deg);
 
@@ -621,7 +605,7 @@ void Session::on_display(const rtp::RtpReceiver::CompletedFrame& f) {
 
 void Session::on_feedback_timer() {
   const SimTime now = sim_.now();
-  const roi::Orientation gaze = head_motion_->orientation_at(now);
+  const roi::Orientation gaze = head_motion_.orientation_at(now);
   FeedbackMsg msg;
   msg.roi = grid_.tile_at(gaze.yaw_deg, gaze.pitch_deg);
   msg.gaze = gaze;

@@ -5,7 +5,6 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "poi360/baseline/conduit.h"
@@ -123,11 +122,6 @@ class Session {
   };
   Observers observers() const;
 
-  /// Seqs the sender remembers as recently retransmitted (the NACK dedup
-  /// window). Expired entries are dropped on every NACK, so this stays
-  /// bounded by one window's retransmissions.
-  std::size_t retx_dedup_entries() const { return recent_retx_.size(); }
-
   /// Optional observer invoked on every rate-control telemetry sample
   /// (used by the rate_control_trace example).
   using TraceHook = std::function<void(const metrics::RateSample&)>;
@@ -186,10 +180,6 @@ class Session {
   video::TileIndex sender_roi_;
   roi::RoiPredictor roi_predictor_;
   std::unordered_map<std::int64_t, video::EncodedFrame> in_flight_;
-  std::unordered_map<std::int64_t, SimTime> recent_retx_;
-  // Seqs whose retransmission waits in the pacer. A PLI purge leaves its
-  // frame's seqs here: the receiver has given up on that frame.
-  std::unordered_set<std::int64_t> queued_retx_;
 
   // Network. Every link is a ChaosLink; with the default all-zero fault
   // profile each one degenerates draw-for-draw into the plain DelayLink.
@@ -203,7 +193,7 @@ class Session {
 
   // Viewer.
   std::unique_ptr<rtp::RtpReceiver> receiver_;
-  std::unique_ptr<roi::HeadMotionModel> head_motion_;
+  roi::StochasticHeadMotion head_motion_;
   MismatchTracker mismatch_tracker_;
   gcc::GccReceiver gcc_receiver_;
   rtp::JitterBuffer playout_;

@@ -290,11 +290,4 @@ SessionMetrics merge(const std::vector<const SessionMetrics*>& runs) {
   return merge(std::span<const SessionMetrics* const>(runs));
 }
 
-SessionMetrics merge(const std::vector<SessionMetrics>& runs) {
-  std::vector<const SessionMetrics*> ptrs;
-  ptrs.reserve(runs.size());
-  for (const auto& run : runs) ptrs.push_back(&run);
-  return merge(std::span<const SessionMetrics* const>(ptrs));
-}
-
 }  // namespace poi360::metrics

@@ -185,6 +185,5 @@ class SessionMetrics {
 /// sweep's completion order can never change a pooled CDF.
 SessionMetrics merge(std::span<const SessionMetrics* const> runs);
 SessionMetrics merge(const std::vector<const SessionMetrics*>& runs);
-SessionMetrics merge(const std::vector<SessionMetrics>& runs);
 
 }  // namespace poi360::metrics

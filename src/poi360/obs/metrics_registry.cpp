@@ -127,17 +127,6 @@ std::int64_t BucketHistogram::cumulative(std::size_t i) const {
   return total;
 }
 
-void BucketHistogram::merge_from(const BucketHistogram& other) {
-  if (other.bounds_ != bounds_) {
-    throw std::invalid_argument("BucketHistogram bound mismatch in merge_from");
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
 std::vector<double> BucketHistogram::latency_ms_bounds() {
   return {10, 25, 50, 100, 200, 400, 600, 1000, 2000};
 }
@@ -240,20 +229,13 @@ void for_each_series(const Families& families, const Emit& emit) {
   }
 }
 
-// Folds every series of `src` into `dst`: a series `dst` lacks is copied,
-// one it has is combined with apply(dst_metric, src_metric).
-template <typename Families, typename Apply>
-void fold_families(Families& dst, const Families& src, const Apply& apply) {
+// Copies every series of `src` into `dst`, replacing the one `dst` has
+// under the same (name, label key) in place.
+template <typename Families>
+void overwrite_families(Families& dst, const Families& src) {
   for (const auto& [name, family] : src) {
     auto& into = dst[name];
-    for (const auto& [key, s] : family) {
-      const auto it = into.find(key);
-      if (it == into.end()) {
-        into.emplace(key, s);
-      } else {
-        apply(it->second.metric, s.metric);
-      }
-    }
+    for (const auto& [key, s] : family) into.insert_or_assign(key, s);
   }
 }
 
@@ -291,27 +273,11 @@ std::vector<MetricsRegistry::Entry> MetricsRegistry::snapshot() const {
   return out;
 }
 
-void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-  fold_families(counters_, other.counters_,
-                [](Counter& d, const Counter& s) { d.inc(s.value()); });
-  fold_families(gauges_, other.gauges_,
-                [](Gauge& d, const Gauge& s) { d.set(s.value()); });
-  fold_families(histograms_, other.histograms_,
-                [](Histogram& d, const Histogram& s) { d.merge_from(s); });
-  fold_families(
-      buckets_, other.buckets_,
-      [](BucketHistogram& d, const BucketHistogram& s) { d.merge_from(s); });
-  for (const auto& [name, help] : other.help_) {
-    help_[name] = help;
-  }
-}
-
 void MetricsRegistry::overwrite_from(const MetricsRegistry& other) {
-  const auto replace = [](auto& d, const auto& s) { d = s; };
-  fold_families(counters_, other.counters_, replace);
-  fold_families(gauges_, other.gauges_, replace);
-  fold_families(histograms_, other.histograms_, replace);
-  fold_families(buckets_, other.buckets_, replace);
+  overwrite_families(counters_, other.counters_);
+  overwrite_families(gauges_, other.gauges_);
+  overwrite_families(histograms_, other.histograms_);
+  overwrite_families(buckets_, other.buckets_);
   for (const auto& [name, help] : other.help_) {
     help_[name] = help;
   }

@@ -50,8 +50,8 @@ class Gauge {
   double value_ = 0.0;
 };
 
-/// Moment histogram: count/sum/min/max only. O(1) ingestion, exact merges,
-/// no bucket-boundary tuning; enough for the delay/size distributions the
+/// Moment histogram: count/sum/min/max only. O(1) ingestion, no
+/// bucket-boundary tuning; enough for the delay/size distributions the
 /// result tables report.
 class Histogram {
  public:
@@ -68,13 +68,6 @@ class Histogram {
   double mean() const {
     return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0;
   }
-  void merge_from(const Histogram& other) {
-    if (other.count_ == 0) return;
-    count_ += other.count_;
-    sum_ += other.sum_;
-    if (other.min_ < min_) min_ = other.min_;
-    if (other.max_ > max_) max_ = other.max_;
-  }
 
  private:
   std::int64_t count_ = 0;
@@ -86,8 +79,7 @@ class Histogram {
 /// Fixed-boundary bucket histogram (the Prometheus `le` kind): per-bucket
 /// counts over sorted upper bounds plus an implicit terminal +Inf bucket,
 /// so freeze/mismatch/delay distributions are scrapeable as real
-/// quantile-capable histograms. Boundaries are fixed at registration;
-/// merge_from requires identical boundaries.
+/// quantile-capable histograms. Boundaries are fixed at registration.
 class BucketHistogram {
  public:
   /// `upper_bounds` are sorted ascending and deduplicated; +Inf is implicit
@@ -108,9 +100,6 @@ class BucketHistogram {
   const std::vector<std::int64_t>& bucket_counts() const { return counts_; }
   /// Cumulative count through bucket `i` (the `le` sample value).
   std::int64_t cumulative(std::size_t i) const;
-
-  /// Exact merge; throws std::invalid_argument on boundary mismatch.
-  void merge_from(const BucketHistogram& other);
 
   /// Stock boundary sets.
   static std::vector<double> latency_ms_bounds();  ///< 10..2000 ms
@@ -174,11 +163,6 @@ class MetricsRegistry {
   /// .count/.mean/.min/.max, bucket histograms to .count/.sum plus one
   /// cumulative .le_<bound> row per bucket.
   std::vector<Entry> snapshot() const;
-
-  /// Counters add, gauges take the other side's value (last writer),
-  /// histograms merge moments, bucket histograms merge counts (boundaries
-  /// must match). Series merge by (name, label set).
-  void merge_from(const MetricsRegistry& other);
 
   /// Idempotent publish: every series `other` carries *replaces* the same
   /// series here (counters/gauges set, histograms copy). Re-publishing the

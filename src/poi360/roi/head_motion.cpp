@@ -2,43 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace poi360::roi {
-
-ScriptedMotion::ScriptedMotion(std::vector<Waypoint> waypoints)
-    : waypoints_(std::move(waypoints)) {
-  if (waypoints_.empty()) {
-    throw std::invalid_argument("ScriptedMotion needs at least one waypoint");
-  }
-  for (std::size_t k = 1; k < waypoints_.size(); ++k) {
-    if (waypoints_[k].time < waypoints_[k - 1].time) {
-      throw std::invalid_argument("ScriptedMotion waypoints unsorted");
-    }
-  }
-}
-
-Orientation ScriptedMotion::orientation_at(SimTime t) {
-  if (t <= waypoints_.front().time) return waypoints_.front().orientation;
-  if (t >= waypoints_.back().time) return waypoints_.back().orientation;
-  for (std::size_t k = 1; k < waypoints_.size(); ++k) {
-    if (t <= waypoints_[k].time) {
-      const auto& a = waypoints_[k - 1];
-      const auto& b = waypoints_[k];
-      if (a.time == b.time) return b.orientation;
-      const double f = static_cast<double>(t - a.time) /
-                       static_cast<double>(b.time - a.time);
-      Orientation o;
-      o.yaw_deg = wrap_yaw(a.orientation.yaw_deg +
-                           f * yaw_diff(b.orientation.yaw_deg,
-                                        a.orientation.yaw_deg));
-      o.pitch_deg = a.orientation.pitch_deg +
-                    f * (b.orientation.pitch_deg - a.orientation.pitch_deg);
-      return o;
-    }
-  }
-  return waypoints_.back().orientation;  // unreachable
-}
 
 StochasticHeadMotion::StochasticHeadMotion(HeadMotionParams params,
                                            std::uint64_t seed)

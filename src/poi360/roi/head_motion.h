@@ -1,6 +1,5 @@
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "poi360/common/rng.h"
@@ -8,45 +7,6 @@
 #include "poi360/roi/orientation.h"
 
 namespace poi360::roi {
-
-/// A viewer's head orientation as a function of simulated time.
-///
-/// Implementations must be deterministic: the orientation at time t depends
-/// only on the construction parameters (including the seed), never on query
-/// order. Queries may arrive with arbitrary (also decreasing) times.
-class HeadMotionModel {
- public:
-  virtual ~HeadMotionModel() = default;
-  virtual Orientation orientation_at(SimTime t) = 0;
-};
-
-/// A viewer who never moves — isolates network effects in tests.
-class StaticGaze : public HeadMotionModel {
- public:
-  explicit StaticGaze(Orientation o) : o_(o) {}
-  Orientation orientation_at(SimTime) override { return o_; }
-
- private:
-  Orientation o_;
-};
-
-/// Piecewise motion through timed waypoints with linear interpolation.
-/// Used by tests and micro-benchmarks that need exactly scripted ROI shifts.
-class ScriptedMotion : public HeadMotionModel {
- public:
-  struct Waypoint {
-    SimTime time;
-    Orientation orientation;
-  };
-
-  /// Waypoints must be sorted by time; holds first/last beyond the ends.
-  explicit ScriptedMotion(std::vector<Waypoint> waypoints);
-
-  Orientation orientation_at(SimTime t) override;
-
- private:
-  std::vector<Waypoint> waypoints_;
-};
 
 /// Stochastic human head-motion model (fixation/shift mixture).
 ///
@@ -76,11 +36,13 @@ struct HeadMotionParams {
   double pursuit_duration_mean_s = 1.6;
 };
 
-class StochasticHeadMotion : public HeadMotionModel {
+class StochasticHeadMotion {
  public:
   StochasticHeadMotion(HeadMotionParams params, std::uint64_t seed);
 
-  Orientation orientation_at(SimTime t) override;
+  /// The viewer's orientation at `t`. Depends only on the parameters and
+  /// the seed, never on query order: queries may also go back in time.
+  Orientation orientation_at(SimTime t);
 
  private:
   // The trajectory is a sequence of segments, generated lazily and cached so

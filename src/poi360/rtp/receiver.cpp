@@ -20,11 +20,6 @@ RtpReceiver::RtpReceiver(sim::Simulator& simulator, Config config,
       nack_sink_(std::move(nack_sink)),
       finished_(kFinishedHistory) {}
 
-RtpReceiver::RtpReceiver(sim::Simulator& simulator, FrameSink frame_sink,
-                         NackSink nack_sink, SimDuration nack_retry)
-    : RtpReceiver(simulator, Config{.nack_retry = nack_retry},
-                  std::move(frame_sink), std::move(nack_sink)) {}
-
 void RtpReceiver::start() {
   sim_.schedule_periodic(sim_.now() + config_.nack_retry, config_.nack_retry,
                          [this]() { on_nack_retry(); });

@@ -91,8 +91,6 @@ class RtpReceiver {
   /// Batch of abandoned frame ids (PLI-style keyframe-recovery request).
   using PliSink = std::function<void(const std::vector<std::int64_t>&)>;
 
-  RtpReceiver(sim::Simulator& simulator, FrameSink frame_sink,
-              NackSink nack_sink, SimDuration nack_retry = msec(100));
   RtpReceiver(sim::Simulator& simulator, Config config, FrameSink frame_sink,
               NackSink nack_sink);
 

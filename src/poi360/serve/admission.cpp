@@ -29,16 +29,4 @@ const char* to_string(AdmissionController::Policy policy) {
   return "?";
 }
 
-const char* to_string(AdmissionController::Decision decision) {
-  switch (decision) {
-    case AdmissionController::Decision::kAccept:
-      return "accept";
-    case AdmissionController::Decision::kDegradeAccept:
-      return "degrade-accept";
-    case AdmissionController::Decision::kReject:
-      return "reject";
-  }
-  return "?";
-}
-
 }  // namespace poi360::serve

@@ -73,6 +73,5 @@ class AdmissionController {
 };
 
 const char* to_string(AdmissionController::Policy policy);
-const char* to_string(AdmissionController::Decision decision);
 
 }  // namespace poi360::serve

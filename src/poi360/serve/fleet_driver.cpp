@@ -281,7 +281,7 @@ void FleetCell::publish_telemetry(SimTime t) {
 }
 
 void FleetCell::finish() {
-  for (Slot& slot : slots_) slot.ms.drain(now_);
+  for (Slot& slot : slots_) slot.ms.drain();
   if (!plane_) return;
   publish_telemetry(now_);
   if (!config_.telemetry.tracing_on()) return;

@@ -4,30 +4,11 @@
 
 namespace poi360::serve {
 
-const char* to_string(SessionState state) {
-  switch (state) {
-    case SessionState::kIdle:
-      return "idle";
-    case SessionState::kAdmitted:
-      return "admitted";
-    case SessionState::kActive:
-      return "active";
-    case SessionState::kDraining:
-      return "draining";
-    case SessionState::kClosed:
-      return "closed";
-    case SessionState::kFailed:
-      return "failed";
-  }
-  return "?";
-}
-
 void ManagedSession::admit(Config config, SimTime now) {
   if (state_ != SessionState::kIdle) {
     throw std::logic_error("ManagedSession::admit on occupied slot");
   }
   config_ = std::move(config);
-  admitted_at_ = now;
   activated_at_ = 0;
   last_marker_ = 0;
   last_progress_at_ = now;
@@ -65,15 +46,12 @@ void ManagedSession::advance_until(SimTime t) {
   }
 }
 
-void ManagedSession::drain(SimTime now) { close(now, /*forced=*/false); }
+void ManagedSession::drain() { close(/*forced=*/false); }
 
-void ManagedSession::force_drain(SimTime now) { close(now, /*forced=*/true); }
+void ManagedSession::force_drain() { close(/*forced=*/true); }
 
-void ManagedSession::close(SimTime now, bool forced) {
-  if (state_ != SessionState::kActive && state_ != SessionState::kAdmitted) {
-    return;
-  }
-  state_ = SessionState::kDraining;
+void ManagedSession::close(bool forced) {
+  if (!live()) return;
   force_drained_ = forced;
   if (session_) {
     try {
@@ -84,7 +62,6 @@ void ManagedSession::close(SimTime now, bool forced) {
       return;
     }
   }
-  (void)now;
   state_ = SessionState::kClosed;
 }
 

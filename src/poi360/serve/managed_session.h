@@ -10,7 +10,7 @@ namespace poi360::serve {
 
 /// Lifecycle of one served session slot.
 ///
-///   kIdle -> kAdmitted -> kActive -> kDraining -> kClosed
+///   kIdle -> kAdmitted -> kActive -> kClosed
 ///                                 \-> kFailed
 ///
 /// kClosed / kFailed return to kIdle via `release()` when the slot is
@@ -19,12 +19,9 @@ enum class SessionState {
   kIdle,      ///< slot unoccupied
   kAdmitted,  ///< admission granted, core session not yet constructed
   kActive,    ///< core session running on the master timeline
-  kDraining,  ///< end-of-call (or watchdog) drain in progress
   kClosed,    ///< finished cleanly, metrics final
   kFailed,    ///< inner session threw; error retained
 };
-
-const char* to_string(SessionState state);
 
 /// A `core::Session` promoted to a first-class serving object: explicit
 /// lifecycle states, incremental advancement on a master timeline, and a
@@ -48,7 +45,7 @@ class ManagedSession {
   struct Config {
     std::int64_t id = -1;              ///< arrival index (stable identity)
     core::SessionConfig session{};     ///< fully derived per-session config
-    SimDuration planned_duration = 0;  ///< drain deadline after activation
+    SimDuration planned_duration = 0;  ///< call length after activation
     SimDuration watchdog_deadline = sec(8);
   };
 
@@ -67,10 +64,10 @@ class ManagedSession {
   void advance_until(SimTime t);
 
   /// Graceful close: finish() the inner metrics, kActive -> kClosed.
-  void drain(SimTime now);
+  void drain();
 
   /// Watchdog close of a stuck session; `force_drained()` reports it.
-  void force_drain(SimTime now);
+  void force_drain();
 
   /// Destroys the inner session and returns the slot to kIdle.
   void release();
@@ -85,18 +82,11 @@ class ManagedSession {
   SessionState state() const { return state_; }
   bool live() const {
     return state_ == SessionState::kAdmitted ||
-           state_ == SessionState::kActive ||
-           state_ == SessionState::kDraining;
+           state_ == SessionState::kActive;
   }
 
   std::int64_t id() const { return config_.id; }
   const Config& config() const { return config_; }
-  SimTime admitted_at() const { return admitted_at_; }
-  SimTime activated_at() const { return activated_at_; }
-  /// Scheduled end-of-call time (valid once active).
-  SimTime drain_deadline() const {
-    return activated_at_ + config_.planned_duration;
-  }
   bool force_drained() const { return force_drained_; }
   const std::string& error() const { return error_; }
 
@@ -104,12 +94,11 @@ class ManagedSession {
   const core::Session* session() const { return session_.get(); }
 
  private:
-  void close(SimTime now, bool forced);
+  void close(bool forced);
 
   SessionState state_ = SessionState::kIdle;
   Config config_{};
   std::unique_ptr<core::Session> session_;
-  SimTime admitted_at_ = 0;
   SimTime activated_at_ = 0;
   std::int64_t last_marker_ = 0;
   SimTime last_progress_at_ = 0;

@@ -312,14 +312,13 @@ void SoakDriver::mark_warmup() {
 void SoakDriver::close_slot(std::size_t slot_index, CloseKind kind) {
   Slot& slot = slots_[slot_index];
   ManagedSession& ms = slot.ms;
-  const SimTime now = sim_.now();
   switch (kind) {
     case CloseKind::kDeparture:
     case CloseKind::kShutdown:
-      ms.drain(now);
+      ms.drain();
       break;
     case CloseKind::kWatchdog:
-      ms.force_drain(now);
+      ms.force_drain();
       break;
     case CloseKind::kFailed:
       break;

@@ -1,6 +1,5 @@
 #include "poi360/sim/simulator.h"
 
-#include <limits>
 #include <utility>
 
 namespace poi360::sim {
@@ -86,10 +85,6 @@ void Simulator::run_until(SimTime end) {
   while (fire_next(end)) {
   }
   if (now_ < end) now_ = end;
-}
-
-bool Simulator::step() {
-  return fire_next(std::numeric_limits<SimTime>::max());
 }
 
 }  // namespace poi360::sim

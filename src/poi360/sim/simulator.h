@@ -62,9 +62,6 @@ class Simulator {
   /// clock at `end` (events scheduled exactly at `end` do run).
   void run_until(SimTime end);
 
-  /// Runs a single event if one is pending; returns false when idle.
-  bool step();
-
   std::size_t pending_events() const {
     return queue_.size() + periodic_keys_.size();
   }

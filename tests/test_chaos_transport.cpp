@@ -265,30 +265,6 @@ TEST(ChaosTransport, NackedPacketsQueueForRetransmissionOnce) {
   EXPECT_LE(peak_backlog, lost_copies + fresh_media);
 }
 
-TEST(ChaosTransport, RetransmissionDedupStateStaysBounded) {
-  // Steady random loss keeps the sender retransmitting all session long.
-  // A dedup entry older than the window can never suppress a copy, so the
-  // sender's dedup state must track one window of retransmissions, not
-  // every seq it ever retransmitted.
-  SessionConfig config = presets::wireline();
-  config.duration = sec(30);
-  config.seed = 3;
-  config.media_chaos.ge_loss_good = 0.03;
-
-  Session session(config);
-  session.start();
-  std::size_t peak_entries = 0;
-  for (SimTime t = msec(50); t <= config.duration; t += msec(50)) {
-    session.advance_until(t);
-    peak_entries = std::max(peak_entries, session.retx_dedup_entries());
-  }
-  session.finish();
-  const std::int64_t nacked = session.observers().receiver->nacks_sent();
-  EXPECT_GT(nacked, 300);
-  EXPECT_LT(static_cast<std::int64_t>(peak_entries) * 10, nacked)
-      << "peak " << peak_entries << " of " << nacked << " NACKed seqs";
-}
-
 TEST(ChaosTransport, RandomizedProfilesNeverWedgeTheSession) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed * 104729);

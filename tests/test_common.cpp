@@ -415,19 +415,6 @@ TEST(SlidingWindowStats, EvictsOldSamples) {
   EXPECT_DOUBLE_EQ(w.stddev(), 0.0);
 }
 
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);  // clamps into bin 0
-  h.add(0.5);
-  h.add(9.9);
-  h.add(25.0);  // clamps into last bin
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bin_fraction(0), 0.5);
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 1.0);
-}
-
 TEST(Table, RendersAlignedAndCsv) {
   Table t({"a", "long_header"});
   t.add_row({"1", "2"});

@@ -118,7 +118,7 @@ TEST(Metrics, MergePoolsEverything) {
   s.fw_buffer_bytes = 1024;
   b.add_rate_sample(s);
 
-  const SessionMetrics merged = merge({a, b});
+  const SessionMetrics merged = merge({&a, &b});
   EXPECT_EQ(merged.displayed_frames(), 2);
   EXPECT_EQ(merged.skipped_frames(), 1);
   EXPECT_DOUBLE_EQ(merged.mean_roi_psnr(), 35.0);
@@ -143,7 +143,7 @@ TEST(Metrics, DegradedSampleFractionCountsFlaggedSamples) {
   s.fbcc_degraded = true;
   b.add_rate_sample(s);
   EXPECT_DOUBLE_EQ(b.degraded_sample_fraction(), 1.0 / 2.0);
-  EXPECT_DOUBLE_EQ(merge({a, b}).degraded_sample_fraction(), 3.0 / 6.0);
+  EXPECT_DOUBLE_EQ(merge({&a, &b}).degraded_sample_fraction(), 3.0 / 6.0);
 }
 
 TEST(Metrics, SessionRegistryHoldsOnlyFinishCounters) {

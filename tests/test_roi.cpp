@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <type_traits>
 
 #include "poi360/roi/head_motion.h"
 #include "poi360/roi/orientation.h"
@@ -35,37 +36,8 @@ TEST(Orientation, AngularDistanceChebyshev) {
       angular_distance({170.0, 0.0}, {-170.0, 0.0}), 20.0);  // wraps
 }
 
-TEST(StaticGaze, NeverMoves) {
-  StaticGaze gaze({42.0, -10.0});
-  EXPECT_DOUBLE_EQ(gaze.orientation_at(0).yaw_deg, 42.0);
-  EXPECT_DOUBLE_EQ(gaze.orientation_at(sec(100)).pitch_deg, -10.0);
-}
-
-TEST(ScriptedMotion, InterpolatesBetweenWaypoints) {
-  ScriptedMotion motion({{sec(0), {0.0, 0.0}}, {sec(10), {100.0, 20.0}}});
-  EXPECT_DOUBLE_EQ(motion.orientation_at(sec(0)).yaw_deg, 0.0);
-  EXPECT_DOUBLE_EQ(motion.orientation_at(sec(5)).yaw_deg, 50.0);
-  EXPECT_DOUBLE_EQ(motion.orientation_at(sec(5)).pitch_deg, 10.0);
-  EXPECT_DOUBLE_EQ(motion.orientation_at(sec(10)).yaw_deg, 100.0);
-}
-
-TEST(ScriptedMotion, HoldsBeyondEnds) {
-  ScriptedMotion motion({{sec(1), {10.0, 0.0}}, {sec(2), {20.0, 0.0}}});
-  EXPECT_DOUBLE_EQ(motion.orientation_at(0).yaw_deg, 10.0);
-  EXPECT_DOUBLE_EQ(motion.orientation_at(sec(100)).yaw_deg, 20.0);
-}
-
-TEST(ScriptedMotion, InterpolatesAcrossWrap) {
-  ScriptedMotion motion({{sec(0), {170.0, 0.0}}, {sec(10), {-170.0, 0.0}}});
-  // Shortest path goes through 180, not back through 0.
-  EXPECT_DOUBLE_EQ(motion.orientation_at(sec(5)).yaw_deg, -180.0);
-}
-
-TEST(ScriptedMotion, RejectsBadInput) {
-  EXPECT_THROW(ScriptedMotion({}), std::invalid_argument);
-  EXPECT_THROW(ScriptedMotion({{sec(2), {0, 0}}, {sec(1), {0, 0}}}),
-               std::invalid_argument);
-}
+// The session holds its one viewer model by value, with no virtual call.
+static_assert(!std::is_polymorphic_v<StochasticHeadMotion>);
 
 TEST(StochasticHeadMotion, DeterministicForSeed) {
   StochasticHeadMotion a({}, 99);

@@ -200,6 +200,47 @@ TEST(SentPacketCache, DuplicateSeqUpdatesInPlaceWithoutEviction) {
   EXPECT_TRUE(cache.lookup(3).has_value());
 }
 
+TEST(SentPacketCache, RetransmissionStampAndQueuedMark) {
+  constexpr SimDuration kWindow = msec(150);
+  SentPacketCache cache(2);
+  RtpPacket p;
+  p.seq = 7;
+  p.bytes = 1200;
+  cache.insert(p);
+
+  // Absent seqs are never claimed.
+  EXPECT_FALSE(cache.claim_retransmission(99, 0, kWindow).has_value());
+
+  // A fresh slot has neither stamp nor mark: the first NACK claims it.
+  const auto claimed = cache.claim_retransmission(7, msec(10), kWindow);
+  ASSERT_TRUE(claimed.has_value());
+  EXPECT_EQ(claimed->bytes, 1200);
+
+  // Marked queued: no second copy, however late the NACK.
+  EXPECT_FALSE(cache.claim_retransmission(7, sec(10), kWindow).has_value());
+
+  // The copy leaving the pacer clears the mark but keeps the stamp, so a
+  // NACK inside the window after it was queued is still suppressed.
+  p.is_retransmission = true;
+  cache.insert(p);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_FALSE(cache.claim_retransmission(7, msec(159), kWindow).has_value());
+  EXPECT_TRUE(cache.claim_retransmission(7, msec(160), kWindow).has_value());
+
+  // A copy that never leaves the pacer (a PLI purge) keeps its mark until
+  // the slot is reused; the reused slot starts with neither.
+  EXPECT_FALSE(cache.claim_retransmission(7, sec(10), kWindow).has_value());
+  RtpPacket q;
+  q.seq = 8;
+  cache.insert(q);
+  EXPECT_TRUE(cache.claim_retransmission(8, msec(160), kWindow).has_value());
+  q.seq = 9;
+  cache.insert(q);  // reuses seq 7's slot
+  EXPECT_FALSE(cache.lookup(7).has_value());
+  EXPECT_TRUE(cache.claim_retransmission(9, msec(160), kWindow).has_value());
+  EXPECT_FALSE(cache.claim_retransmission(8, sec(10), kWindow).has_value());
+}
+
 // The sent-packet history as a node map plus an insertion-order deque,
 // kept as the reference the contiguous SentPacketCache must match.
 class ReferenceSentPacketCache {
@@ -298,7 +339,7 @@ struct ReceiverHarness {
   std::vector<RtpReceiver::CompletedFrame> frames;
   std::vector<std::int64_t> nacked;
   RtpReceiver receiver{
-      s,
+      s, RtpReceiver::Config{},
       [this](const RtpReceiver::CompletedFrame& f) { frames.push_back(f); },
       [this](const std::vector<std::int64_t>& seqs) {
         nacked.insert(nacked.end(), seqs.begin(), seqs.end());

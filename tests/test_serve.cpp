@@ -50,11 +50,10 @@ TEST(ManagedSession, WalksLifecycleStates) {
   EXPECT_EQ(ms.state(), SessionState::kAdmitted);
   EXPECT_TRUE(ms.live());
   EXPECT_EQ(ms.id(), 7);
-  EXPECT_EQ(ms.admitted_at(), sec(100));
 
   ms.activate(sec(100));
   ASSERT_EQ(ms.state(), SessionState::kActive);
-  EXPECT_EQ(ms.drain_deadline(), sec(110));
+  EXPECT_TRUE(ms.live());
 
   // Master time 100s..105s maps to inner time 0..5s.
   ms.advance_until(sec(105));
@@ -62,7 +61,7 @@ TEST(ManagedSession, WalksLifecycleStates) {
   EXPECT_EQ(ms.session()->now(), sec(5));
   EXPECT_GT(ms.progress_marker(), 0);
 
-  ms.drain(sec(105));
+  ms.drain();
   EXPECT_EQ(ms.state(), SessionState::kClosed);
   EXPECT_FALSE(ms.live());
   EXPECT_FALSE(ms.force_drained());
@@ -124,7 +123,7 @@ TEST(ManagedSession, WatchdogDetectsDeadMediaPath) {
   ASSERT_TRUE(stuck);
   EXPECT_GT(detected_at, sec(5));  // not before the deadline elapsed
 
-  ms.force_drain(detected_at);
+  ms.force_drain();
   EXPECT_EQ(ms.state(), SessionState::kClosed);
   EXPECT_TRUE(ms.force_drained());
 }

@@ -11,6 +11,12 @@
 namespace poi360::core {
 namespace {
 
+// Every session samples the stochastic viewer; there is no recorded-viewer
+// replay to configure.
+template <typename C>
+concept HasMotionTrace = requires(C c) { c.motion_trace; };
+static_assert(!HasMotionTrace<SessionConfig>);
+
 SessionConfig short_session(SessionConfig base, SimDuration duration,
                             std::uint64_t seed) {
   base.duration = duration;
