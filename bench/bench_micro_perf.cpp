@@ -26,6 +26,7 @@
 #include "poi360/rtp/receiver.h"
 #include "poi360/rtp/retx.h"
 #include "poi360/serve/fleet_driver.h"
+#include "poi360/sim/fifo_lane.h"
 #include "poi360/sim/simulator.h"
 #include "poi360/video/compression.h"
 #include "poi360/video/quality.h"
@@ -169,10 +170,10 @@ static void BM_SimulatorEvents(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorEvents);
 
-// One-shot events whose capture is the size of a DelayLink packet delivery
+// One-shot events whose capture is the size of a link's packet delivery
 // ([this, RtpPacket, SimTime] = 72 bytes) — far past std::function's
-// inline buffer, so this is the allocation behaviour of every packet
-// crossing a link.
+// inline buffer. This is the path of a delivery that falls back from its
+// FIFO lane to the heap (a reordered or duplicated packet).
 static void BM_SimulatorPayloadEvents(benchmark::State& state) {
   struct Payload {
     std::int64_t words[9];
@@ -192,6 +193,29 @@ static void BM_SimulatorPayloadEvents(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_SimulatorPayloadEvents);
+
+// The same 1000 deliveries pushed through a FIFO lane, as every link
+// delivery, frame handoff and display is: the payload waits in the lane's
+// ring and is handed straight to the consumer, with no callback built and
+// no heap sift per item.
+static void BM_SimulatorLaneEvents(benchmark::State& state) {
+  struct Payload {
+    std::int64_t words[9];
+  };
+  for (auto _ : state) {
+    sim::Simulator simulator;
+    long counter = 0;
+    sim::FifoLane<Payload> lane(
+        simulator, [&counter](Payload p, SimTime) { counter += p.words[0]; });
+    Payload payload{};
+    payload.words[0] = 1;
+    for (int i = 0; i < 1000; ++i) lane.push(msec(i), payload);
+    simulator.run_until(sec(2));
+    benchmark::DoNotOptimize(counter);
+  }
+  state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_SimulatorLaneEvents);
 
 // The tracing hot path in its three states, guarding the "zero overhead
 // when disabled" contract. Disabled = the null-pointer test every

@@ -33,6 +33,10 @@ endif()
 # ring slot and one index entry (~15 ns), and an 8-fragment frame reuses a
 # pooled assembly (~215 ns); a per-packet allocation or a scan of the
 # finished-frame history would break these ceilings.
+# A FIFO lane hands 1000 queued 72-byte payloads to its consumer in ~50 us
+# on a 4-vCPU host where the same deliveries as heap one-shots take
+# ~105 us; a callback built or a heap sift per item would break its
+# ceiling.
 execute_process(
   COMMAND ${PYTHON} ${CHECK_PY} --baseline ${BASELINE} --current ${OUT_JSON}
           --max-ns BM_TraceSpanDisabled=25
@@ -50,6 +54,7 @@ execute_process(
           --max-ns BM_RngEngineDraw=7
           --max-ns BM_SentPacketCacheInsert=30
           --max-ns BM_ReceiverFrame=450
+          --max-ns BM_SimulatorLaneEvents=75000
   RESULT_VARIABLE gate_rc)
 if(NOT gate_rc EQUAL 0)
   message(FATAL_ERROR "perf gate failed (rc=${gate_rc})")

@@ -86,8 +86,6 @@ void init(int argc, char** argv) {
   }
 }
 
-int jobs() { return runner::BatchRunner::resolve_jobs(state().jobs); }
-
 const std::string& trace_dir() { return state().trace_dir; }
 
 runner::BatchResult run(const runner::ExperimentSpec& spec) {

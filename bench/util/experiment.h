@@ -34,9 +34,6 @@ namespace poi360::bench {
 ///                   flag no recorder exists and stdout is byte-identical.
 void init(int argc, char** argv);
 
-/// Resolved worker count the harness will use (after --jobs / POI360_JOBS).
-int jobs();
-
 /// The --trace-dir value; empty when tracing is off.
 const std::string& trace_dir();
 

@@ -26,12 +26,19 @@ Session::Session(SessionConfig config)
       gcc_sender_(config.initial_rate, config.gcc_loss),
       sender_roi_{config.grid_cols / 2, config.grid_rows / 2},
       roi_predictor_(config.roi_predictor),
+      encoded_frames_(sim_,
+                      [this](std::int64_t id, SimTime) {
+                        hand_frame_to_pacer(id);
+                      }),
       // The viewer's seed must stay the first draw from rng_: every other
       // component's fork follows it.
       head_motion_(config.head_motion, rng_.fork(0xA11CE).engine()()),
       mismatch_tracker_(config.mismatch),
       gcc_receiver_(config.initial_rate, config.gcc_receiver),
-      playout_(config.playout) {
+      playout_(config.playout),
+      displays_(sim_, [this](rtp::RtpReceiver::CompletedFrame f, SimTime) {
+        on_display(f);
+      }) {
   const bool cellular = config_.network == NetworkType::kCellular;
   if (!cellular && config_.rate_control == RateControl::kFbcc) {
     throw std::invalid_argument(
@@ -368,14 +375,13 @@ void Session::on_capture() {
                        {{"bytes", static_cast<double>(frame.bytes)}});
   }
   in_flight_.emplace(id, std::move(frame));
-  sim_.schedule_in(config_.capture_encode_delay,
-                   [this, id]() { hand_frame_to_pacer(id); });
+  encoded_frames_.push(sim_.now() + config_.capture_encode_delay, id);
 }
 
 void Session::hand_frame_to_pacer(std::int64_t frame_id) {
-  const auto it = in_flight_.find(frame_id);
-  if (it == in_flight_.end()) return;
-  const video::EncodedFrame& frame = it->second;
+  const video::EncodedFrame* found = in_flight_.find(frame_id);
+  if (found == nullptr) return;
+  const video::EncodedFrame& frame = *found;
   if (trace_) {
     trace_->span_end(sim_.now(), "frame", "encode", frame_id,
                      {{"bytes", static_cast<double>(frame.bytes)}});
@@ -448,9 +454,7 @@ void Session::on_nack(const NackMsg& msg) {
   // frames, so pending packets for them are pure waste on a path that is
   // already losing — purge them from the pacer and forget the frame.
   for (std::int64_t frame_id : msg.pli_frames) {
-    const auto it = in_flight_.find(frame_id);
-    if (it == in_flight_.end()) continue;
-    in_flight_.erase(it);
+    if (!in_flight_.erase(frame_id)) continue;
     pacer_->drop_frame(frame_id);
     ++sender_frames_dropped_;
   }
@@ -557,13 +561,13 @@ void Session::on_frame_complete(const rtp::RtpReceiver::CompletedFrame& f) {
   const SimTime display_at = config_.use_adaptive_playout
                                  ? playout_at
                                  : f.completion + config_.render_delay;
-  sim_.schedule_at(display_at, [this, f]() { on_display(f); });
+  displays_.push(display_at, f);
 }
 
 void Session::on_display(const rtp::RtpReceiver::CompletedFrame& f) {
-  const auto it = in_flight_.find(f.frame_id);
-  if (it == in_flight_.end()) return;
-  const video::EncodedFrame& frame = it->second;
+  const video::EncodedFrame* found = in_flight_.find(f.frame_id);
+  if (found == nullptr) return;
+  const video::EncodedFrame& frame = *found;
 
   const SimTime now = sim_.now();
   const roi::Orientation gaze = head_motion_.orientation_at(now);
@@ -600,7 +604,7 @@ void Session::on_display(const rtp::RtpReceiver::CompletedFrame& f) {
       .roi_mismatch = roi_level > min_level * config_.mismatch.level_tolerance,
   });
 
-  in_flight_.erase(it);
+  in_flight_.erase(f.frame_id);
 }
 
 void Session::on_feedback_timer() {

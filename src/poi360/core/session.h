@@ -4,11 +4,11 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "poi360/baseline/conduit.h"
 #include "poi360/baseline/pyramid.h"
+#include "poi360/common/id_ring.h"
 #include "poi360/common/rng.h"
 #include "poi360/core/adaptive_compression.h"
 #include "poi360/core/config.h"
@@ -28,6 +28,7 @@
 #include "poi360/rtp/jitter_buffer.h"
 #include "poi360/rtp/retx.h"
 #include "poi360/rtp/rtcp.h"
+#include "poi360/sim/fifo_lane.h"
 #include "poi360/sim/simulator.h"
 #include "poi360/video/encoder.h"
 
@@ -179,7 +180,10 @@ class Session {
   std::unique_ptr<FbccController> fbcc_;
   video::TileIndex sender_roi_;
   roi::RoiPredictor roi_predictor_;
-  std::unordered_map<std::int64_t, video::EncodedFrame> in_flight_;
+  // Frames captured and not yet displayed or purged, by frame id.
+  IdRing<video::EncodedFrame> in_flight_;
+  // Frame ids whose encode delay elapses, in capture order.
+  sim::FifoLane<std::int64_t> encoded_frames_;
 
   // Network. Every link is a ChaosLink; with the default all-zero fault
   // profile each one degenerates draw-for-draw into the plain DelayLink.
@@ -197,6 +201,7 @@ class Session {
   MismatchTracker mismatch_tracker_;
   gcc::GccReceiver gcc_receiver_;
   rtp::JitterBuffer playout_;
+  sim::FifoLane<rtp::RtpReceiver::CompletedFrame> displays_;
   SimDuration last_net_delay_ = 0;
   SimTime last_sr_timestamp_ = 0;   // first_send_time of last completed frame
   SimTime last_sr_received_ = 0;    // when that frame completed

@@ -9,6 +9,7 @@
 #include "poi360/common/time.h"
 #include "poi360/net/link.h"
 #include "poi360/obs/trace.h"
+#include "poi360/sim/fifo_lane.h"
 #include "poi360/sim/simulator.h"
 
 namespace poi360::net {
@@ -106,7 +107,7 @@ class ChaosLink {
   ChaosLink(sim::Simulator& simulator, DelayLinkConfig base,
             ChaosConfig chaos, std::uint64_t seed, Sink sink)
       : sim_(simulator), base_(base), chaos_(chaos), rng_(seed),
-        sink_(std::move(sink)) {}
+        deliveries_(simulator, std::move(sink)) {}
 
   /// Sends one message through the fault model. Draw order is part of the
   /// determinism contract: window updates, burst chain, base loss, jitter,
@@ -193,9 +194,7 @@ class ChaosLink {
  private:
   void deliver_at(SimTime at, T message) {
     ++stats_.delivered;
-    sim_.schedule_at(at, [this, msg = std::move(message), at]() mutable {
-      sink_(std::move(msg), at);
-    });
+    deliveries_.push(at, std::move(message));
   }
 
   /// Opens blackout/spike windows on the traffic clock (same lazy Poisson
@@ -248,7 +247,10 @@ class ChaosLink {
   DelayLinkConfig base_;
   ChaosConfig chaos_;
   Rng rng_;
-  Sink sink_;
+  // The FIFO clamp keeps a fault-free link's deliveries monotone, so they
+  // all take the lane's fast path; a delivery that a detour or duplicate
+  // puts behind the lane's last item falls back to the one-shot heap.
+  sim::FifoLane<T> deliveries_;
 
   SimTime last_delivery_ = 0;
   bool bad_ = false;                // Gilbert–Elliott state

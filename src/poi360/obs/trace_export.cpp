@@ -37,7 +37,10 @@ std::string args_json(const TraceEvent& e) {
   std::string out = "{";
   for (int i = 0; i < e.n_args; ++i) {
     if (i > 0) out += ",";
-    out += "\"" + escape(e.args[i].key) + "\":" + num(e.args[i].value);
+    out += '"';
+    out += escape(e.args[i].key);
+    out += "\":";
+    out += num(e.args[i].value);
   }
   out += "}";
   return out;
@@ -143,7 +146,8 @@ std::string to_trace_csv(const std::vector<TraceEvent>& events) {
     for (int i = 0; i < e.n_args; ++i) {
       if (i > 0) out += ";";
       out += e.args[i].key;
-      out += "=" + num(e.args[i].value);
+      out += '=';
+      out += num(e.args[i].value);
     }
     out += "\n";
   }

@@ -115,14 +115,12 @@ Orientation StochasticHeadMotion::interpolate(const Segment& s,
     }
   } else {
     const double half = total_s / 2.0;
-    const double peak = a * half;  // velocity at apex of triangle
     if (elapsed_s < half) {
       progress_deg = 0.5 * a * elapsed_s * elapsed_s;
     } else {
       const double td = total_s - elapsed_s;
       progress_deg = dist - 0.5 * a * td * td;
     }
-    (void)peak;
   }
   const double f = std::clamp(progress_deg / dist, 0.0, 1.0);
 

@@ -12,12 +12,13 @@ namespace poi360::sim {
 ///
 /// A session schedules millions of events (the 4 ms LTE grant tick alone is
 /// 75k firings in a 5-minute run), and with `std::function` every capture
-/// beyond libstdc++'s 16-byte SBO — an RTP packet riding a DelayLink, a
-/// completed frame headed for display — is a heap allocation on the hot
-/// path. The inline buffer here is sized so that every per-packet and
-/// per-frame capture in the codebase (`[this, RtpPacket, SimTime]` at
-/// 72 bytes is the largest frequent one) stays inline; rare oversized or
-/// potentially-throwing-move functors fall back to the heap.
+/// beyond libstdc++'s 16-byte SBO is a heap allocation. Monotone packet and
+/// frame streams ride `FifoLane`s and build no callback, but an item that
+/// falls back from its lane to the heap does — a reordered RTP packet, a
+/// display whose time moved backwards. The inline buffer here is sized so
+/// that those captures (`[this, RtpPacket, SimTime]` at 72 bytes) stay
+/// inline; rare oversized or potentially-throwing-move functors fall back
+/// to the heap.
 ///
 /// Unlike `std::function`, the target only needs to be move-constructible,
 /// and invoking an empty callback is undefined (the engine never does).

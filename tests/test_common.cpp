@@ -5,7 +5,10 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <unordered_map>
+#include <vector>
 
+#include "poi360/common/id_ring.h"
 #include "poi360/common/ring_buffer.h"
 #include "poi360/common/rng.h"
 #include "poi360/common/stats.h"
@@ -335,6 +338,51 @@ TEST(RingBuffer, InterleavedPushPopInvariants) {
     }
     EXPECT_TRUE(rb.empty());
     EXPECT_EQ(rb.size(), 0u);
+  }
+}
+
+// Differential test against the unordered_map the ring replaces in a
+// session's in-flight frame table: dense increasing ids, most erased a few
+// ids later in random order, a few kept alive for thousands of ids (so
+// their slots collide with new ids and force growth), plus repeated
+// emplaces and erases of missing ids.
+TEST(IdRing, MatchesUnorderedMapWithLongLivedEntries) {
+  for (unsigned seed : {1u, 7u, 42u}) {
+    std::mt19937 rng(seed);
+    IdRing<std::int64_t> ring;
+    std::unordered_map<std::int64_t, std::int64_t> ref;
+    std::vector<std::int64_t> recent;
+    const auto check = [&](std::int64_t id) {
+      const std::int64_t* got = ring.find(id);
+      const auto it = ref.find(id);
+      ASSERT_EQ(got != nullptr, it != ref.end()) << "id " << id;
+      if (got != nullptr) {
+        EXPECT_EQ(*got, it->second) << "id " << id;
+      }
+    };
+    for (std::int64_t id = 0; id < 6000; ++id) {
+      const std::int64_t value = id * 31 + 7;
+      ring.emplace(id, value);
+      ref.emplace(id, value);
+      ring.emplace(id, -1);  // present: both keep the first value
+      ref.emplace(id, -1);
+      if (rng() % 50 != 0) recent.push_back(id);  // else: long-lived
+      while (recent.size() > 20 || (!recent.empty() && rng() % 3 == 0)) {
+        const std::size_t k = rng() % recent.size();
+        const std::int64_t victim = recent[k];
+        recent.erase(recent.begin() + static_cast<std::ptrdiff_t>(k));
+        EXPECT_EQ(ring.erase(victim), ref.erase(victim) == 1);
+      }
+      const std::int64_t probe =
+          id - static_cast<std::int64_t>(rng() % 4000);
+      check(probe);
+      EXPECT_FALSE(ring.erase(id + 1));  // never inserted yet
+      ASSERT_EQ(ring.size(), ref.size());
+    }
+    EXPECT_GT(ring.capacity(), 4096u) << "long-lived ids forced growth";
+    for (std::int64_t id = 0; id < 6001; ++id) check(id);
+    for (const auto& [id, value] : ref) ASSERT_TRUE(ring.erase(id));
+    EXPECT_EQ(ring.size(), 0u);
   }
 }
 

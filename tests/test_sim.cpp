@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "poi360/sim/fifo_lane.h"
 #include "poi360/sim/simulator.h"
 
 namespace poi360::sim {
@@ -64,6 +65,26 @@ TEST(Simulator, EventsBeyondHorizonStayPending) {
   EXPECT_EQ(s.pending_events(), 1u);
   s.run_until(msec(300));
   EXPECT_TRUE(fired);
+}
+
+TEST(Simulator, PendingEventsCountsLaneItems) {
+  Simulator s;
+  std::vector<int> got;
+  FifoLane<int> lane(s, [&](int v, SimTime) { got.push_back(v); });
+  lane.push(msec(10), 1);
+  lane.push(msec(20), 2);
+  lane.push(msec(15), 3);  // behind the last item: waits in the heap
+  s.schedule_at(msec(30), []() {});
+  s.schedule_periodic(msec(50), msec(50), []() {});
+  EXPECT_EQ(lane.size(), 2u);
+  EXPECT_EQ(s.pending_events(), 5u);
+  s.run_until(msec(16));
+  EXPECT_EQ(got, (std::vector<int>{1, 3}));
+  EXPECT_EQ(lane.size(), 1u);
+  EXPECT_EQ(s.pending_events(), 3u);
+  s.run_until(msec(40));
+  EXPECT_EQ(lane.size(), 0u);
+  EXPECT_EQ(s.pending_events(), 1u);  // the periodic timer
 }
 
 TEST(Simulator, EventExactlyAtHorizonRuns) {
@@ -216,38 +237,92 @@ class ReferenceEngine {
   std::vector<Ev> events_;
 };
 
+// The reference model of a FIFO lane: every push is a plain one-shot.
+class ReferenceLane {
+ public:
+  ReferenceLane(ReferenceEngine& engine,
+                std::function<void(int, SimTime)> consumer)
+      : engine_(engine), consumer_(std::move(consumer)) {}
+
+  void push(SimTime at, int item) {
+    if (at < engine_.now()) at = engine_.now();
+    engine_.schedule_at(at, [this, item, at]() { consumer_(item, at); });
+  }
+
+ private:
+  ReferenceEngine& engine_;
+  std::function<void(int, SimTime)> consumer_;
+};
+
+template <typename Engine>
+struct LaneOf {
+  using type = FifoLane<int>;
+};
+template <>
+struct LaneOf<ReferenceEngine> {
+  using type = ReferenceLane;
+};
+
 // Drives one engine through a deterministic pseudo-random scenario of
-// one-shots and periodics (millisecond granularity to force timestamp
-// collisions), where some firings schedule follow-up events at the current
-// timestamp. Returns the full (tag, time) firing log.
+// one-shots, periodics and two FIFO lanes (millisecond granularity to force
+// timestamp collisions), where some firings schedule or push follow-ups at
+// the current timestamp. Lane A gets monotone pushes, pushes at now() from
+// one-shot callbacks, and pushes onto itself during its own deliveries;
+// lane B gets pushes in random order, so many take the heap fallback.
+// Returns the full (tag, time) firing log.
 template <typename Engine>
 std::vector<std::pair<int, SimTime>> run_scenario(Engine& e, unsigned seed) {
+  using Lane = typename LaneOf<Engine>::type;
   std::mt19937 rng(seed);
   std::uniform_int_distribution<int> time_ms(0, 200);
   std::vector<std::pair<int, SimTime>> log;
 
+  Lane* lane_a = nullptr;
+  Lane a(e, [&e, &log, &lane_a](int tag, SimTime at) {
+    EXPECT_EQ(at, e.now());
+    log.push_back({tag, e.now()});
+    if (tag % 5 == 0 && tag < 5000) {  // re-push onto the delivering lane
+      lane_a->push(e.now(), tag + 5000);
+      lane_a->push(e.now() + msec(tag % 3), tag + 6000);
+    }
+  });
+  lane_a = &a;
+  Lane b(e, [&e, &log](int tag, SimTime at) {
+    EXPECT_EQ(at, e.now());
+    log.push_back({tag, e.now()});
+  });
+
+  SimTime monotone = 0;
   for (int n = 0; n < 60; ++n) {
     const int tag = n;
     const SimTime t = msec(time_ms(rng));
     const bool chain = (n % 4 == 0);
-    e.schedule_at(t, [&e, &log, tag, chain]() {
+    const bool push_now = (n % 6 == 1);
+    e.schedule_at(t, [&e, &log, &a, tag, chain, push_now]() {
       log.push_back({tag, e.now()});
       if (chain) {
         e.schedule_at(e.now(), [&e, &log, tag]() {  // same-time follow-up
           log.push_back({tag + 1000, e.now()});
         });
       }
+      if (push_now) a.push(e.now(), tag + 4000);
     });
+    monotone += msec(time_ms(rng) % 4);
+    a.push(monotone, 4100 + n);
+    b.push(msec(time_ms(rng)), 4300 + n);
   }
   const SimDuration periods[] = {msec(1), msec(5), msec(7), msec(28),
                                  msec(40)};
   for (int p = 0; p < 5; ++p) {
     const int tag = 2000 + p;
     const SimTime start = msec(time_ms(rng) % 50);
-    e.schedule_periodic(start, periods[p], [&e, &log, tag]() {
+    e.schedule_periodic(start, periods[p], [&e, &log, &b, tag]() {
       log.push_back({tag, e.now()});
       if (tag == 2001 && to_millis(e.now()) == 25) {
         e.schedule_at(e.now(), [&e, &log]() { log.push_back({3000, e.now()}); });
+      }
+      if (tag == 2003) {
+        b.push(e.now() + msec(3), 4500 + static_cast<int>(e.now() / msec(1)));
       }
     });
   }
