@@ -414,9 +414,9 @@ static void BM_RngEngineDraw(benchmark::State& state) {
 }
 BENCHMARK(BM_RngEngineDraw);
 
-// One sent packet recorded in a full 8192-entry retransmission history: the
-// oldest entry is overwritten and its index entry replaced. Every packet the
-// pacer releases pays this once.
+// One sent packet recorded in a full 8192-slot retransmission history: the
+// new seq overwrites slot `seq mod 8192`, which held the seq sent 8192
+// packets before it. Every packet the pacer releases pays this once.
 static void BM_SentPacketCacheInsert(benchmark::State& state) {
   rtp::SentPacketCache cache;
   rtp::RtpPacket packet;

@@ -89,22 +89,18 @@ Session::Session(SessionConfig config)
     nack_link_->send(NackMsg{.seqs = {}, .pli_frames = frames});
   });
 
+  media_link_ = std::make_unique<net::ChaosLink<rtp::RtpPacket, MediaSink>>(
+      sim_,
+      cellular ? net::DelayLinkConfig{config_.core_delay, config_.core_jitter,
+                                      config_.core_loss}
+               : net::DelayLinkConfig{config_.wireline_delay,
+                                      config_.wireline_jitter,
+                                      config_.wireline_loss},
+      config_.media_chaos, rng_.fork(0xC0DE).engine()(), MediaSink{this});
   if (cellular) {
-    core_link_ = std::make_unique<net::ChaosLink<rtp::RtpPacket>>(
-        sim_,
-        net::DelayLinkConfig{config_.core_delay, config_.core_jitter,
-                             config_.core_loss},
-        config_.media_chaos, rng_.fork(0xC0DE).engine()(),
-        [this](rtp::RtpPacket p, SimTime at) { receiver_->on_packet(p, at); });
-    uplink_ = std::make_unique<lte::LteUplink<rtp::RtpPacket>>(
+    uplink_ = std::make_unique<lte::LteUplink<rtp::RtpPacket, AccessSink>>(
         sim_, config_.channel, config_.uplink, rng_.fork(0x17E).engine()(),
-        [this](rtp::RtpPacket p, SimTime at) {
-          if (trace_ && !p.is_retransmission &&
-              p.fragment == p.fragments - 1) {
-            trace_->span_end(at, "frame", "phy", p.frame_id);
-          }
-          core_link_->send(std::move(p));
-        });
+        AccessSink{this});
     if (config_.cell_handle.attached()) {
       uplink_->set_cell(config_.cell_handle);
     }
@@ -123,26 +119,14 @@ Session::Session(SessionConfig config)
           [this](const lte::DiagReport& r) { on_diag(r); });
     }
   } else {
-    wireline_link_ = std::make_unique<net::ChaosLink<rtp::RtpPacket>>(
-        sim_,
-        net::DelayLinkConfig{config_.wireline_delay, config_.wireline_jitter,
-                             config_.wireline_loss},
-        config_.media_chaos, rng_.fork(0xC0DE).engine()(),
-        [this](rtp::RtpPacket p, SimTime at) { receiver_->on_packet(p, at); });
-    wireline_queue_ = std::make_unique<net::DrainQueue<rtp::RtpPacket>>(
-        sim_, config_.wireline_rate, config_.wireline_buffer_bytes,
-        [this](rtp::RtpPacket p, SimTime at) {
-          if (trace_ && !p.is_retransmission &&
-              p.fragment == p.fragments - 1) {
-            trace_->span_end(at, "frame", "phy", p.frame_id);
-          }
-          wireline_link_->send(std::move(p));
-        });
+    wireline_queue_ =
+        std::make_unique<net::DrainQueue<rtp::RtpPacket, AccessSink>>(
+            sim_, config_.wireline_rate, config_.wireline_buffer_bytes,
+            AccessSink{this});
   }
 
-  pacer_ = std::make_unique<rtp::Pacer>(
-      sim_, config_.initial_rate,
-      [this](rtp::RtpPacket p) { on_packet_paced(std::move(p)); });
+  pacer_ = std::make_unique<rtp::Pacer<PacedSink>>(sim_, config_.initial_rate,
+                                                   PacedSink{this});
 
   // Reverse path (feedback + NACK) shares the downlink/back-channel delays.
   const bool wl = !cellular;
@@ -168,8 +152,7 @@ Session::Session(SessionConfig config)
     pacer_->set_trace(t);
     receiver_->set_trace(t);
     if (uplink_) uplink_->set_trace(t);
-    if (core_link_) core_link_->set_trace(t, "chaos.media");
-    if (wireline_link_) wireline_link_->set_trace(t, "chaos.media");
+    media_link_->set_trace(t, "chaos.media");
     feedback_link_->set_trace(t, "chaos.feedback");
     nack_link_->set_trace(t, "chaos.nack");
   }
@@ -180,8 +163,7 @@ Session::~Session() = default;
 Session::Observers Session::observers() const {
   Observers o;
   o.diag_faults = diag_faults_.get();
-  const auto* media = core_link_ ? core_link_.get() : wireline_link_.get();
-  o.media_chaos = media ? &media->stats() : nullptr;
+  o.media_chaos = &media_link_->stats();
   o.feedback_chaos = feedback_link_ ? &feedback_link_->stats() : nullptr;
   o.receiver = receiver_.get();
   return o;
@@ -386,17 +368,16 @@ void Session::hand_frame_to_pacer(std::int64_t frame_id) {
     trace_->span_end(sim_.now(), "frame", "encode", frame_id,
                      {{"bytes", static_cast<double>(frame.bytes)}});
   }
-  for (rtp::RtpPacket& p :
-       packetizer_.packetize(frame.id, frame.capture_time, frame.bytes)) {
-    pacer_->enqueue(std::move(p));
-  }
+  packetizer_.packetize(
+      frame.id, frame.capture_time, frame.bytes,
+      [this](const rtp::RtpPacket& p) { pacer_->enqueue(p); });
 }
 
 void Session::on_packet_paced(rtp::RtpPacket packet) {
   if (trace_ && !packet.is_retransmission && packet.fragment == 0) {
     // PHY span: first fragment enters the modem buffer (or wireline queue)
-    // here; the last fragment leaving the access segment closes it in the
-    // uplink/queue sink above.
+    // here; the last fragment leaving the access segment closes it in
+    // AccessSink below.
     trace_->span_begin(sim_.now(), "frame", "phy", packet.frame_id,
                        {{"fragments", static_cast<double>(packet.fragments)}});
   }
@@ -406,6 +387,20 @@ void Session::on_packet_paced(rtp::RtpPacket packet) {
   } else {
     wireline_queue_->push(std::move(packet));
   }
+}
+
+void Session::PacedSink::operator()(rtp::RtpPacket packet) const {
+  session->on_packet_paced(std::move(packet));
+}
+
+void Session::AccessSink::operator()(rtp::RtpPacket packet, SimTime at) const {
+  // The last fragment leaving the access segment closes the frame's PHY
+  // span.
+  if (session->trace_ && !packet.is_retransmission &&
+      packet.fragment == packet.fragments - 1) {
+    session->trace_->span_end(at, "frame", "phy", packet.frame_id);
+  }
+  session->media_link_->send(std::move(packet));
 }
 
 void Session::on_feedback(const FeedbackMsg& msg, SimTime arrival) {
@@ -539,6 +534,11 @@ Bitrate Session::trailing_rphy(SimDuration window) const {
 }
 
 // ---------------------------------------------------------------- viewer --
+
+void Session::MediaSink::operator()(const rtp::RtpPacket& packet,
+                                    SimTime at) const {
+  session->receiver_->on_packet(packet, at);
+}
 
 void Session::on_frame_complete(const rtp::RtpReceiver::CompletedFrame& f) {
   // GCC bases its multiplicative decrease on the incoming-rate estimate;

@@ -136,6 +136,23 @@ class Session {
   obs::TraceRecorder* trace() { return trace_.get(); }
 
  private:
+  // The typed sinks of the media path. Each forwards to one Session
+  // member, so every packet's hop (pacer -> uplink or wireline queue ->
+  // media link -> lane -> receiver) is a direct call instead of a
+  // std::function dispatch.
+  struct PacedSink {  // the pacer released a packet
+    Session* session;
+    void operator()(rtp::RtpPacket packet) const;
+  };
+  struct AccessSink {  // the uplink or wireline queue drained a packet
+    Session* session;
+    void operator()(rtp::RtpPacket packet, SimTime at) const;
+  };
+  struct MediaSink {  // the media link delivered a packet to the viewer
+    Session* session;
+    void operator()(const rtp::RtpPacket& packet, SimTime at) const;
+  };
+
   // Sender side.
   void on_capture();
   void hand_frame_to_pacer(std::int64_t frame_id);
@@ -172,7 +189,7 @@ class Session {
   video::PanoramicEncoder encoder_;
   rtp::Packetizer packetizer_;
   rtp::SentPacketCache sent_cache_;
-  std::unique_ptr<rtp::Pacer> pacer_;
+  std::unique_ptr<rtp::Pacer<PacedSink>> pacer_;
   AdaptiveCompressionController adaptive_;
   baseline::ConduitMode conduit_;
   baseline::PyramidMode pyramid_;
@@ -187,11 +204,14 @@ class Session {
 
   // Network. Every link is a ChaosLink; with the default all-zero fault
   // profile each one degenerates draw-for-draw into the plain DelayLink.
-  std::unique_ptr<lte::LteUplink<rtp::RtpPacket>> uplink_;
+  // The access segment is the LTE uplink (cellular) or the wireline
+  // bottleneck queue; the media link behind it is the core network or the
+  // wireline last hop.
+  std::unique_ptr<lte::LteUplink<rtp::RtpPacket, AccessSink>> uplink_;
   std::unique_ptr<lte::DiagFaultModel> diag_faults_;
-  std::unique_ptr<net::ChaosLink<rtp::RtpPacket>> core_link_;
-  std::unique_ptr<net::DrainQueue<rtp::RtpPacket>> wireline_queue_;
-  std::unique_ptr<net::ChaosLink<rtp::RtpPacket>> wireline_link_;
+  std::unique_ptr<net::DrainQueue<rtp::RtpPacket, AccessSink>>
+      wireline_queue_;
+  std::unique_ptr<net::ChaosLink<rtp::RtpPacket, MediaSink>> media_link_;
   std::unique_ptr<net::ChaosLink<FeedbackMsg>> feedback_link_;
   std::unique_ptr<net::ChaosLink<NackMsg>> nack_link_;
 

@@ -8,8 +8,6 @@
 #include <string_view>
 #include <type_traits>
 
-#include "poi360/lte/channel.h"
-
 namespace poi360::lte {
 
 void CapacityTrace::add(SimTime t, Bitrate capacity_bps) {
@@ -46,26 +44,6 @@ Bitrate CapacityTrace::at(SimTime t) const {
   const auto idx = static_cast<std::size_t>(
       std::max<std::ptrdiff_t>(0, it - times_.begin() - 1));
   return capacities_[idx];
-}
-
-CapacityTrace CapacityTrace::record(UplinkChannel& channel,
-                                    SimDuration duration, SimDuration step) {
-  if (duration <= 0 || step <= 0) throw std::invalid_argument("bad record");
-  CapacityTrace trace;
-  for (SimTime t = 0; t < duration; t += step) {
-    trace.add(t, channel.advance(t));
-  }
-  return trace;
-}
-
-std::string CapacityTrace::to_csv() const {
-  std::ostringstream out;
-  out << "time_us,capacity_bps\n";
-  for (std::size_t i = 0; i < times_.size(); ++i) {
-    out << times_[i] << ',' << static_cast<std::int64_t>(capacities_[i])
-        << '\n';
-  }
-  return out.str();
 }
 
 namespace {

@@ -9,8 +9,6 @@
 
 namespace poi360::lte {
 
-class UplinkChannel;
-
 /// Recorded per-subframe uplink capacity trace.
 ///
 /// Lets experiments replay a fixed channel realization — a capacity series
@@ -32,12 +30,9 @@ class CapacityTrace {
   /// Wrap-around period: the last sample time plus one nominal step.
   SimDuration duration() const;
 
-  /// Records `duration` of an UplinkChannel at `step` granularity.
-  static CapacityTrace record(UplinkChannel& channel, SimDuration duration,
-                              SimDuration step = msec(1));
-
-  /// CSV round-trip ("time_us,capacity_bps" rows).
-  std::string to_csv() const;
+  /// Parses "time_us,capacity_bps" rows (an optional header row, blank
+  /// lines and CRLF endings are accepted); throws std::invalid_argument
+  /// naming the offending row.
   static CapacityTrace from_csv(const std::string& csv);
 
  private:

@@ -86,11 +86,11 @@ struct UplinkConfig {
 ///
 /// `T` is the packet type (must expose an `std::int64_t bytes` member).
 /// Fully drained packets are handed to `sink` at the draining grant; the
-/// caller appends core-network delay behind it.
-template <typename T>
+/// caller appends core-network delay behind it. `Sink` is any callable
+/// taking `(T, SimTime)`.
+template <typename T, typename Sink = std::function<void(T, SimTime)>>
 class LteUplink {
  public:
-  using Sink = std::function<void(T, SimTime)>;
   using DiagSink = std::function<void(const DiagReport&)>;
   /// (time, buffer_bytes_before_grant, tbs_bytes) once per grant.
   using SubframeProbe =

@@ -99,11 +99,13 @@ struct ChaosStats {
 /// Used for the media path behind the LTE uplink (or the wireline access
 /// path) and for the viewer -> sender feedback/NACK back-channel, each with
 /// its own `ChaosConfig` so the two directions fail independently.
-template <typename T>
+///
+/// `Sink` is any callable taking `(T, SimTime delivered_at)`; it becomes
+/// the consumer of the link's delivery lane.
+template <typename T,
+          typename Sink = std::function<void(T, SimTime delivered_at)>>
 class ChaosLink {
  public:
-  using Sink = std::function<void(T, SimTime delivered_at)>;
-
   ChaosLink(sim::Simulator& simulator, DelayLinkConfig base,
             ChaosConfig chaos, std::uint64_t seed, Sink sink)
       : sim_(simulator), base_(base), chaos_(chaos), rng_(seed),
@@ -250,7 +252,7 @@ class ChaosLink {
   // The FIFO clamp keeps a fault-free link's deliveries monotone, so they
   // all take the lane's fast path; a delivery that a detour or duplicate
   // puts behind the lane's last item falls back to the one-shot heap.
-  sim::FifoLane<T> deliveries_;
+  sim::FifoLane<T, Sink> deliveries_;
 
   SimTime last_delivery_ = 0;
   bool bad_ = false;                // Gilbert–Elliott state

@@ -16,12 +16,12 @@ namespace poi360::net {
 /// Models the wireline access bottleneck of the campus control runs. The
 /// element type must expose a `bytes` member. Service is work-conserving:
 /// a packet's transmission completes `bytes / rate` after it reaches the
-/// head of the queue.
-template <typename T>
+/// head of the queue. `Sink` is any callable taking `(T, SimTime
+/// drained_at)`.
+template <typename T,
+          typename Sink = std::function<void(T, SimTime drained_at)>>
 class DrainQueue {
  public:
-  using Sink = std::function<void(T, SimTime drained_at)>;
-
   DrainQueue(sim::Simulator& simulator, Bitrate rate,
              std::int64_t byte_limit, Sink sink)
       : sim_(simulator), rate_(rate), byte_limit_(byte_limit),

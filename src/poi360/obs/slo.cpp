@@ -58,13 +58,6 @@ const SloTracker::Checkpoint& SloTracker::reference(
   return checkpoints_[best];
 }
 
-bool SloTracker::any_breached() const {
-  for (int o = 0; o < kSloObjectives; ++o) {
-    if (status_.breached[o]) return true;
-  }
-  return false;
-}
-
 void SloTracker::reset() {
   checkpoints_.clear();
   status_ = SloStatus{};

@@ -87,7 +87,6 @@ class SloTracker {
 
   const SloStatus& status() const { return status_; }
   const SloConfig& config() const { return config_; }
-  bool any_breached() const;
 
   /// Forgets all history — slot pools reuse trackers across sessions.
   void reset();

@@ -1,8 +1,11 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <stdexcept>
+#include <utility>
 
 #include "poi360/common/time.h"
 #include "poi360/common/units.h"
@@ -20,21 +23,43 @@ namespace poi360::rtp {
 /// bitrate to pull queued traffic forward and refill the modem buffer, or
 /// fall below it, in which case the backlog grows here rather than in the
 /// firmware buffer.
+///
+/// `Sink` is any callable taking the released `RtpPacket`; a session passes
+/// a concrete functor so each release is a direct call.
+template <typename Sink = std::function<void(RtpPacket)>>
 class Pacer {
  public:
-  using Sink = std::function<void(RtpPacket)>;
-
   Pacer(sim::Simulator& simulator, Bitrate initial_rate, Sink sink,
-        SimDuration tick = msec(5));
+        SimDuration tick = msec(5))
+      : sim_(simulator), rate_(initial_rate), sink_(std::move(sink)),
+        tick_(tick) {
+    if (tick <= 0) throw std::invalid_argument("pacer tick must be positive");
+  }
 
   /// Begins the periodic pacing schedule. Call once.
-  void start();
+  void start() {
+    sim_.schedule_periodic(sim_.now() + tick_, tick_,
+                           [this]() { on_tick(); });
+  }
 
-  void enqueue(RtpPacket packet);
+  void enqueue(RtpPacket packet) {
+    queued_bytes_ += packet.bytes;
+    if (trace_ && !packet.is_retransmission && packet.fragment == 0) {
+      trace_->span_begin(
+          sim_.now(), "frame", "pace", packet.frame_id,
+          {{"fragments", static_cast<double>(packet.fragments)},
+           {"queued_bytes", static_cast<double>(queued_bytes_)}});
+    }
+    queue_.push_back(std::move(packet));
+  }
+
   /// Queue-jumps a retransmission (WebRTC pacers prioritize RTX).
-  void enqueue_front(RtpPacket packet);
+  void enqueue_front(RtpPacket packet) {
+    queued_bytes_ += packet.bytes;
+    queue_.push_front(std::move(packet));
+  }
 
-  void set_rate(Bitrate rate);
+  void set_rate(Bitrate rate) { rate_ = std::max(rate, 0.0); }
   Bitrate rate() const { return rate_; }
 
   /// Purges queued packets of an abandoned frame (keyframe-recovery path:
@@ -42,7 +67,26 @@ class Pacer {
   /// fragments would burn uplink bytes a famine can't spare). Returns the
   /// number of packets dropped. Retransmissions already queued for the
   /// frame are purged too.
-  std::size_t drop_frame(std::int64_t frame_id);
+  std::size_t drop_frame(std::int64_t frame_id) {
+    std::size_t dropped = 0;
+    for (auto it = queue_.begin(); it != queue_.end();) {
+      if (it->frame_id == frame_id) {
+        queued_bytes_ -= it->bytes;
+        it = queue_.erase(it);
+        ++dropped;
+      } else {
+        ++it;
+      }
+    }
+    if (trace_ && dropped > 0) {
+      // Close the pace span (its last fragment will never be released) and
+      // mark the purge as a recovery action.
+      trace_->span_end(sim_.now(), "frame", "pace", frame_id);
+      trace_->instant(sim_.now(), "recovery", "pacer.drop_frame",
+                      {{"packets", static_cast<double>(dropped)}}, frame_id);
+    }
+    return dropped;
+  }
 
   std::int64_t queued_bytes() const { return queued_bytes_; }
   std::size_t queued_packets() const { return queue_.size(); }
@@ -53,7 +97,32 @@ class Pacer {
   void set_trace(obs::TraceRecorder* trace) { trace_ = trace; }
 
  private:
-  void on_tick();
+  void on_tick() {
+    budget_bytes_ += rate_ * to_seconds(tick_) / 8.0;
+    // An idle pacer must not bank unbounded credit: cap at two ticks' worth
+    // so a queue that refills after a gap is still paced, not blasted.
+    const double cap =
+        std::max(2.0 * rate_ * to_seconds(tick_) / 8.0, 2400.0);
+    budget_bytes_ = std::min(budget_bytes_, cap);
+
+    // WebRTC semantics: a packet may be sent whenever credit is positive
+    // (the budget may go negative and is paid back on later ticks).
+    while (!queue_.empty() && budget_bytes_ > 0.0) {
+      RtpPacket p = std::move(queue_.front());
+      queue_.pop_front();
+      queued_bytes_ -= p.bytes;
+      budget_bytes_ -= static_cast<double>(p.bytes);
+      p.send_time = sim_.now();
+      if (trace_ && !p.is_retransmission && p.fragment == p.fragments - 1) {
+        trace_->span_end(sim_.now(), "frame", "pace", p.frame_id);
+      }
+      sink_(std::move(p));
+    }
+    if (queue_.empty() && budget_bytes_ < 0.0) {
+      // Debt is only meaningful while traffic is pending.
+      budget_bytes_ = 0.0;
+    }
+  }
 
   sim::Simulator& sim_;
   Bitrate rate_;

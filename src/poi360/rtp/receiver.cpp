@@ -5,20 +5,14 @@
 
 namespace poi360::rtp {
 
-namespace {
-// How many finished frame ids to remember for staleness filtering. Bounded
-// so the filter itself cannot grow; deep enough that a duplicate delayed by
-// whole seconds still hits it.
-constexpr std::size_t kFinishedHistory = 1024;
-}  // namespace
-
 RtpReceiver::RtpReceiver(sim::Simulator& simulator, Config config,
                          FrameSink frame_sink, NackSink nack_sink)
     : sim_(simulator),
       config_(config),
       frame_sink_(std::move(frame_sink)),
-      nack_sink_(std::move(nack_sink)),
-      finished_(kFinishedHistory) {}
+      nack_sink_(std::move(nack_sink)) {
+  finished_.fill(-1);
+}
 
 void RtpReceiver::start() {
   sim_.schedule_periodic(sim_.now() + config_.nack_retry, config_.nack_retry,
@@ -80,7 +74,12 @@ void RtpReceiver::detect_gaps(std::int64_t seq, SimTime now) {
 }
 
 void RtpReceiver::mark_finished(std::int64_t frame_id) {
-  if (!finished_.contains(frame_id)) finished_.insert(frame_id);
+  finished_[static_cast<std::uint64_t>(frame_id) % kFinishedSlots] = frame_id;
+}
+
+bool RtpReceiver::finished(std::int64_t frame_id) const {
+  return finished_[static_cast<std::uint64_t>(frame_id) % kFinishedSlots] ==
+         frame_id;
 }
 
 std::size_t RtpReceiver::find_assembly(std::int64_t frame_id) const {
@@ -120,7 +119,7 @@ void RtpReceiver::on_packet(const RtpPacket& packet, SimTime arrival) {
 
   detect_gaps(packet.seq, arrival);
 
-  if (finished_.contains(packet.frame_id)) {
+  if (finished(packet.frame_id)) {
     // Late duplicate of a frame already delivered or abandoned; opening a
     // fresh assembly for it would leak state that can never complete.
     ++recovery_.stale_packets;

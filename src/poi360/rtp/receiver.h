@@ -1,12 +1,12 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <utility>
 #include <vector>
 
-#include "poi360/common/recent_keys.h"
 #include "poi360/common/time.h"
 #include "poi360/common/units.h"
 #include "poi360/obs/trace.h"
@@ -152,6 +152,7 @@ class RtpReceiver {
   void evict_assembly(std::int64_t frame_id,
                       std::vector<std::int64_t>& abandoned);
   void mark_finished(std::int64_t frame_id);
+  bool finished(std::int64_t frame_id) const;
   SimDuration retry_interval(int attempts) const;
 
   sim::Simulator& sim_;
@@ -170,8 +171,12 @@ class RtpReceiver {
 
   // Recently finished (completed or abandoned) frames: packets for these
   // are stale — without this a late duplicate would re-open a ghost
-  // assembly that can never complete.
-  RecentKeys finished_;
+  // assembly that can never complete. A finished id sits at slot `id mod
+  // kFinishedSlots` until a later-finished id takes the slot; frames finish
+  // in about id order, so that covers the last kFinishedSlots frames. -1
+  // marks a free slot (validated frame ids are non-negative).
+  static constexpr std::size_t kFinishedSlots = 1024;
+  std::array<std::int64_t, kFinishedSlots> finished_;
 
   // Interval loss accounting.
   std::int64_t interval_received_ = 0;

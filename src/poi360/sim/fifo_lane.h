@@ -15,6 +15,10 @@ namespace poi360::sim {
 /// `schedule_at(at, ...)` would, but the item waits in a ring instead of
 /// riding an `InlineCallback` through the one-shot heap.
 ///
+/// `Consumer` is any callable taking `(T, SimTime)`. A caller on a hot path
+/// passes a concrete functor type so each delivery is a direct call; the
+/// default `std::function` suits everyone else.
+///
 /// Each push draws its sequence number from the engine where `schedule_at`
 /// would, so the global (time, seq) order — and every random stream — is
 /// the same as with one-shot events. A push earlier than the lane's last
@@ -24,11 +28,9 @@ namespace poi360::sim {
 ///
 /// The lane is pinned (its address is in the engine and in fallback
 /// events) and must not outlive its simulator.
-template <typename T>
+template <typename T, typename Consumer = std::function<void(T, SimTime)>>
 class FifoLane final : public LaneBase {
  public:
-  using Consumer = std::function<void(T, SimTime)>;
-
   FifoLane(Simulator& simulator, Consumer consumer)
       : LaneBase(simulator), consumer_(std::move(consumer)) {}
 

@@ -956,6 +956,13 @@ obs::SloConfig fast_slo() {
   return config;
 }
 
+bool breached_any(const obs::SloStatus& status) {
+  for (const bool b : status.breached) {
+    if (b) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 TEST(SloTrackerTest, BreachesOnBurnAndRecoversWithHysteresis) {
@@ -970,14 +977,14 @@ TEST(SloTrackerTest, BreachesOnBurnAndRecoversWithHysteresis) {
   auto t1 = slo.observe(sec(60), {1000, 500, 0, 0}, &trace, 7);
   EXPECT_EQ(t1.breaches, 1);
   EXPECT_TRUE(t1.breached_now[0]);
-  EXPECT_TRUE(slo.any_breached());
+  EXPECT_TRUE(slo.status().breached[0]);
   EXPECT_GE(slo.status().burn_fast[0], 6.0);
 
   // Clean frames for long enough that both windows drop below threshold.
   auto t2 = slo.observe(sec(400), {10000, 500, 0, 0}, &trace, 7);
   EXPECT_EQ(t2.recoveries, 1);
   EXPECT_TRUE(t2.recovered_now[0]);
-  EXPECT_FALSE(slo.any_breached());
+  EXPECT_FALSE(breached_any(slo.status()));
 
   // Both transitions landed in the trace with burn rates attached.
   int breach_events = 0;
@@ -1010,16 +1017,16 @@ TEST(SloTrackerTest, SlowWindowFiltersShortBlips) {
   EXPECT_GE(slo.status().burn_fast[0], 6.0);
   EXPECT_LT(slo.status().burn_slow[0], 3.0);
   EXPECT_EQ(t.breaches, 0);
-  EXPECT_FALSE(slo.any_breached());
+  EXPECT_FALSE(breached_any(slo.status()));
 }
 
 TEST(SloTrackerTest, ResetForgetsHistoryForSlotReuse) {
   obs::SloTracker slo(fast_slo());
   slo.observe(sec(0), {0, 0, 0, 0});
   slo.observe(sec(60), {1000, 500, 0, 0});
-  EXPECT_TRUE(slo.any_breached());
+  EXPECT_TRUE(slo.status().breached[0]);
   slo.reset();
-  EXPECT_FALSE(slo.any_breached());
+  EXPECT_FALSE(breached_any(slo.status()));
   // Post-reset, the first observation anchors again instead of rating.
   auto t = slo.observe(sec(120), {5000, 5000, 0, 0});
   EXPECT_EQ(t.breaches, 0);

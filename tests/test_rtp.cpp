@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <deque>
+#include <stdexcept>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -17,9 +17,18 @@
 namespace poi360::rtp {
 namespace {
 
+// Every fragment of one frame, in the order packetize emits them.
+std::vector<RtpPacket> fragments_of(Packetizer& p, std::int64_t frame_id,
+                                    SimTime capture_time, std::int64_t bytes) {
+  std::vector<RtpPacket> out;
+  p.packetize(frame_id, capture_time, bytes,
+              [&out](const RtpPacket& packet) { out.push_back(packet); });
+  return out;
+}
+
 TEST(Packetizer, SplitsAtMtu) {
   Packetizer p(1200);
-  const auto packets = p.packetize(7, msec(100), 3000);
+  const auto packets = fragments_of(p, 7, msec(100), 3000);
   ASSERT_EQ(packets.size(), 3u);
   EXPECT_EQ(packets[0].bytes, 1200);
   EXPECT_EQ(packets[1].bytes, 1200);
@@ -35,22 +44,22 @@ TEST(Packetizer, SplitsAtMtu) {
 
 TEST(Packetizer, SequenceNumbersContinueAcrossFrames) {
   Packetizer p(1000);
-  (void)p.packetize(0, 0, 2500);  // 3 packets: seq 0..2
-  const auto second = p.packetize(1, 0, 1500);
+  (void)fragments_of(p, 0, 0, 2500);  // 3 packets: seq 0..2
+  const auto second = fragments_of(p, 1, 0, 1500);
   EXPECT_EQ(second[0].seq, 3);
   EXPECT_EQ(second[1].seq, 4);
 }
 
 TEST(Packetizer, ExactMultipleOfMtu) {
   Packetizer p(1200);
-  const auto packets = p.packetize(0, 0, 2400);
+  const auto packets = fragments_of(p, 0, 0, 2400);
   ASSERT_EQ(packets.size(), 2u);
   EXPECT_EQ(packets[1].bytes, 1200);
 }
 
 TEST(Packetizer, RejectsEmptyFrames) {
   Packetizer p(1200);
-  EXPECT_THROW(p.packetize(0, 0, 0), std::invalid_argument);
+  EXPECT_THROW(fragments_of(p, 0, 0, 0), std::invalid_argument);
   EXPECT_THROW(Packetizer(0), std::invalid_argument);
 }
 
@@ -149,25 +158,63 @@ TEST(Pacer, IdleDoesNotBankUnboundedCredit) {
 // ----------------------------------------------------------------- retx --
 
 TEST(SentPacketCache, LookupAndEviction) {
-  SentPacketCache cache(3);
-  for (int i = 0; i < 5; ++i) {
-    RtpPacket p;
+  SentPacketCache cache(4);
+  RtpPacket p;
+  for (int i = 0; i < 6; ++i) {
     p.seq = i;
     p.bytes = 100 + i;
     cache.insert(p);
   }
-  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.size(), 4u);
   EXPECT_FALSE(cache.lookup(0).has_value());
   EXPECT_FALSE(cache.lookup(1).has_value());
-  ASSERT_TRUE(cache.lookup(4).has_value());
-  EXPECT_EQ(cache.lookup(4)->bytes, 104);
+  ASSERT_TRUE(cache.lookup(5).has_value());
+  EXPECT_EQ(cache.lookup(5)->bytes, 105);
+
+  // A new seq takes the slot of its residue mod the capacity, not the
+  // oldest one: after a gap, seq 13 evicts seq 5 and leaves seq 2.
+  p.seq = 13;
+  p.bytes = 113;
+  cache.insert(p);
+  EXPECT_EQ(cache.size(), 4u);
+  EXPECT_FALSE(cache.lookup(5).has_value());
+  EXPECT_TRUE(cache.lookup(2).has_value());
+  // A seq that only shares a held seq's residue is absent.
+  EXPECT_FALSE(cache.lookup(9).has_value());
+  EXPECT_FALSE(cache.lookup(13 - 4 * 1024).has_value());
+  EXPECT_EQ(cache.lookup(13)->bytes, 113);
+
+  // Below the capacity nothing is evicted: seqs whose slots collide in the
+  // small starting ring part as it grows.
+  SentPacketCache big(1024);
+  for (const std::int64_t seq : {0, 64, 128, 512, -100}) {
+    p.seq = seq;
+    big.insert(p);
+  }
+  EXPECT_EQ(big.size(), 5u);
+  for (const std::int64_t seq : {0, 64, 128, 512, -100}) {
+    EXPECT_TRUE(big.lookup(seq).has_value()) << "seq " << seq;
+  }
+  p.seq = 1024;  // shares seq 0's residue mod the capacity
+  big.insert(p);
+  EXPECT_EQ(big.size(), 5u);
+  EXPECT_FALSE(big.lookup(0).has_value());
+  EXPECT_TRUE(big.lookup(1024).has_value());
+}
+
+TEST(SentPacketCache, RejectsACapacityThatIsNotAPowerOfTwo) {
+  EXPECT_THROW(SentPacketCache(0), std::invalid_argument);
+  EXPECT_THROW(SentPacketCache(3), std::invalid_argument);
+  EXPECT_THROW(SentPacketCache(8191), std::invalid_argument);
+  EXPECT_NO_THROW(SentPacketCache(1));
+  EXPECT_NO_THROW(SentPacketCache(8192));
 }
 
 TEST(SentPacketCache, DuplicateSeqUpdatesInPlaceWithoutEviction) {
-  // Re-inserting a seq (pacer resending a retransmission) must not grow the
-  // eviction order: the old bookkeeping double-counted the seq and evicted
-  // live entries early.
-  SentPacketCache cache(3);
+  // Re-inserting a seq (pacer resending a retransmission) must not take a
+  // second slot: bookkeeping that double-counted the seq evicted live
+  // entries early.
+  SentPacketCache cache(4);
   RtpPacket p;
   p.seq = 0;
   p.bytes = 100;
@@ -178,26 +225,24 @@ TEST(SentPacketCache, DuplicateSeqUpdatesInPlaceWithoutEviction) {
   ASSERT_TRUE(cache.lookup(0).has_value());
   EXPECT_EQ(cache.lookup(0)->bytes, 999);
 
-  for (int i = 1; i <= 2; ++i) {
+  for (int i = 1; i <= 3; ++i) {
     RtpPacket q;
     q.seq = i;
     q.bytes = 100 + i;
     cache.insert(q);
   }
-  // Exactly at capacity: every seq must still be resident. With the old
-  // duplicate handling, seq 0 occupied two order slots and seq 0 and 1 were
-  // evicted here.
-  EXPECT_EQ(cache.size(), 3u);
-  for (int i = 0; i <= 2; ++i) {
+  // Exactly at capacity: every seq must still be resident.
+  EXPECT_EQ(cache.size(), 4u);
+  for (int i = 0; i <= 3; ++i) {
     EXPECT_TRUE(cache.lookup(i).has_value()) << "seq " << i;
   }
   RtpPacket q;
-  q.seq = 3;
-  q.bytes = 103;
+  q.seq = 4;
+  q.bytes = 104;
   cache.insert(q);
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_FALSE(cache.lookup(0).has_value());  // true FIFO eviction
-  EXPECT_TRUE(cache.lookup(3).has_value());
+  EXPECT_EQ(cache.size(), 4u);
+  EXPECT_FALSE(cache.lookup(0).has_value());  // seq 4 took its slot
+  EXPECT_TRUE(cache.lookup(4).has_value());
 }
 
 TEST(SentPacketCache, RetransmissionStampAndQueuedMark) {
@@ -208,8 +253,9 @@ TEST(SentPacketCache, RetransmissionStampAndQueuedMark) {
   p.bytes = 1200;
   cache.insert(p);
 
-  // Absent seqs are never claimed.
+  // Absent seqs are never claimed, nor is one sharing a held seq's slot.
   EXPECT_FALSE(cache.claim_retransmission(99, 0, kWindow).has_value());
+  EXPECT_FALSE(cache.claim_retransmission(5, 0, kWindow).has_value());
 
   // A fresh slot has neither stamp nor mark: the first NACK claims it.
   const auto claimed = cache.claim_retransmission(7, msec(10), kWindow);
@@ -235,14 +281,15 @@ TEST(SentPacketCache, RetransmissionStampAndQueuedMark) {
   cache.insert(q);
   EXPECT_TRUE(cache.claim_retransmission(8, msec(160), kWindow).has_value());
   q.seq = 9;
-  cache.insert(q);  // reuses seq 7's slot
+  cache.insert(q);  // takes seq 7's slot (both are odd)
   EXPECT_FALSE(cache.lookup(7).has_value());
   EXPECT_TRUE(cache.claim_retransmission(9, msec(160), kWindow).has_value());
   EXPECT_FALSE(cache.claim_retransmission(8, sec(10), kWindow).has_value());
 }
 
-// The sent-packet history as a node map plus an insertion-order deque,
-// kept as the reference the contiguous SentPacketCache must match.
+// The sent-packet history's contract as a node map: a seq is held iff it
+// was inserted and no seq inserted after it shares its residue mod the
+// capacity. Kept as the reference the ring must match.
 class ReferenceSentPacketCache {
  public:
   explicit ReferenceSentPacketCache(std::size_t capacity)
@@ -251,11 +298,11 @@ class ReferenceSentPacketCache {
   void insert(const RtpPacket& packet) {
     const bool inserted = by_seq_.insert_or_assign(packet.seq, packet).second;
     if (!inserted) return;
-    order_.push_back(packet.seq);
-    while (order_.size() > capacity_) {
-      by_seq_.erase(order_.front());
-      order_.pop_front();
-    }
+    const std::uint64_t residue =
+        static_cast<std::uint64_t>(packet.seq) % capacity_;
+    const auto holder = by_residue_.find(residue);
+    if (holder != by_residue_.end()) by_seq_.erase(holder->second);
+    by_residue_[residue] = packet.seq;
   }
 
   std::optional<RtpPacket> lookup(std::int64_t seq) const {
@@ -267,9 +314,9 @@ class ReferenceSentPacketCache {
   std::size_t size() const { return by_seq_.size(); }
 
  private:
-  std::size_t capacity_;
+  std::uint64_t capacity_;
   std::unordered_map<std::int64_t, RtpPacket> by_seq_;
-  std::deque<std::int64_t> order_;
+  std::unordered_map<std::uint64_t, std::int64_t> by_residue_;
 };
 
 bool same_packet(const std::optional<RtpPacket>& a,
@@ -284,7 +331,7 @@ bool same_packet(const std::optional<RtpPacket>& a,
 }
 
 TEST(SentPacketCache, MatchesTheMapAndDequeReferenceUnderRandomTraffic) {
-  for (const std::size_t capacity : {std::size_t{3}, std::size_t{8192}}) {
+  for (const std::size_t capacity : {std::size_t{4}, std::size_t{8192}}) {
     Rng rng(capacity);
     SentPacketCache cache(capacity);
     ReferenceSentPacketCache reference(capacity);
@@ -303,7 +350,7 @@ TEST(SentPacketCache, MatchesTheMapAndDequeReferenceUnderRandomTraffic) {
         const auto back = static_cast<std::int64_t>(2 * capacity + 4);
         p.seq = next_seq - rng.uniform_int(0, back);
       } else if (kind < 0.82) {
-        // Far-away and negative seqs exercise the index's probing.
+        // Far-away and negative seqs land on the residues of live ones.
         p.seq = rng.uniform_int(-1'000'000, 1'000'000) * 4096;
       } else {
         const std::int64_t seq =
@@ -349,7 +396,7 @@ struct ReceiverHarness {
 TEST(Receiver, AssemblesFrameFromFragments) {
   ReceiverHarness h;
   Packetizer p(1000);
-  const auto packets = p.packetize(5, msec(10), 2500);
+  const auto packets = fragments_of(p, 5, msec(10), 2500);
   SimTime t = msec(50);
   for (auto packet : packets) {
     packet.send_time = msec(40);
@@ -369,7 +416,7 @@ TEST(Receiver, AssemblesFrameFromFragments) {
 TEST(Receiver, DetectsGapAndNacks) {
   ReceiverHarness h;
   Packetizer p(1000);
-  const auto packets = p.packetize(0, 0, 3000);  // seq 0,1,2
+  const auto packets = fragments_of(p, 0, 0, 3000);  // seq 0,1,2
   h.receiver.on_packet(packets[0], msec(1));
   h.receiver.on_packet(packets[2], msec(2));  // seq 1 missing
   ASSERT_EQ(h.nacked.size(), 1u);
@@ -387,7 +434,7 @@ TEST(Receiver, DetectsGapAndNacks) {
 TEST(Receiver, DuplicatePacketsIgnored) {
   ReceiverHarness h;
   Packetizer p(1000);
-  const auto packets = p.packetize(0, 0, 2000);
+  const auto packets = fragments_of(p, 0, 0, 2000);
   h.receiver.on_packet(packets[0], msec(1));
   h.receiver.on_packet(packets[0], msec(2));  // duplicate
   EXPECT_TRUE(h.frames.empty());
@@ -399,9 +446,9 @@ TEST(Receiver, DuplicatePacketsIgnored) {
 TEST(Receiver, LossFractionInterval) {
   ReceiverHarness h;
   Packetizer p(1000);
-  const auto a = p.packetize(0, 0, 1000);  // seq 0
-  const auto b = p.packetize(1, 0, 1000);  // seq 1
-  const auto c = p.packetize(2, 0, 1000);  // seq 2
+  const auto a = fragments_of(p, 0, 0, 1000);  // seq 0
+  const auto b = fragments_of(p, 1, 0, 1000);  // seq 1
+  const auto c = fragments_of(p, 2, 0, 1000);  // seq 2
   h.receiver.on_packet(a[0], msec(1));
   h.receiver.on_packet(c[0], msec(2));  // seq 1 lost
   EXPECT_NEAR(h.receiver.take_loss_fraction(), 1.0 / 3.0, 1e-9);
@@ -414,7 +461,7 @@ TEST(Receiver, NackRetryFiresPeriodically) {
   ReceiverHarness h;
   h.receiver.start();
   Packetizer p(1000);
-  const auto packets = p.packetize(0, 0, 3000);
+  const auto packets = fragments_of(p, 0, 0, 3000);
   h.s.schedule_at(msec(1), [&]() {
     h.receiver.on_packet(packets[0], msec(1));
     h.receiver.on_packet(packets[2], msec(1));  // gap at seq 1
@@ -428,7 +475,7 @@ TEST(Receiver, NackRetryFiresPeriodically) {
 TEST(Receiver, IncomingRateNeedsFullWindow) {
   ReceiverHarness h;
   Packetizer p(1000);
-  auto pkt = p.packetize(0, 0, 1000)[0];
+  auto pkt = fragments_of(p, 0, 0, 1000)[0];
   h.receiver.on_packet(pkt, msec(10));
   EXPECT_DOUBLE_EQ(h.receiver.incoming_rate(msec(500)), 0.0);
 }
@@ -526,6 +573,29 @@ TEST(Receiver, StalenessCoversExactlyTheLast1024FinishedFrames) {
   h.receiver.on_packet(make_packet(seq++, 0, 0, 2), msec(3));
   EXPECT_EQ(h.receiver.recovery_stats().stale_packets, 1);
   EXPECT_EQ(h.receiver.assemblies(), 1u);
+}
+
+TEST(Receiver, LateDuplicateOfAFrameFinishedWithinTheLast1024IsStale) {
+  BoundedHarness h{{}};
+  // 512 two-fragment frames with even ids finish in descending id order,
+  // so the finished ids are neither dense nor increasing.
+  std::int64_t seq = 0;
+  std::vector<RtpPacket> last_fragments;
+  for (std::int64_t f = 1022; f >= 0; f -= 2) {
+    h.receiver.on_packet(make_packet(seq++, f, 0, 2), msec(1));
+    last_fragments.push_back(make_packet(seq++, f, 1, 2));
+    h.receiver.on_packet(last_fragments.back(), msec(1));
+  }
+  ASSERT_EQ(h.frames.size(), 512u);
+  // Every frame finished fewer than 1024 frames ago: a late duplicate of
+  // its last fragment is stale and opens no assembly.
+  for (const RtpPacket& p : last_fragments) {
+    h.receiver.on_packet(p, msec(50));
+  }
+  EXPECT_EQ(h.receiver.recovery_stats().stale_packets, 512);
+  EXPECT_EQ(h.receiver.recovery_stats().duplicate_packets, 0);
+  EXPECT_EQ(h.receiver.assemblies(), 0u);
+  EXPECT_EQ(h.frames.size(), 512u);
 }
 
 TEST(Receiver, ReorderedFragmentsStillAssemble) {
@@ -632,7 +702,7 @@ TEST(Receiver, IncomingRateMatchesSteadyStream) {
   Packetizer p(1000);
   // 1000 bytes every 10 ms = 800 kbps.
   for (int i = 0; i < 150; ++i) {
-    auto pkt = p.packetize(i, 0, 1000)[0];
+    auto pkt = fragments_of(p, i, 0, 1000)[0];
     h.receiver.on_packet(pkt, msec(10) * (i + 1));
   }
   EXPECT_NEAR(h.receiver.incoming_rate(msec(500)) / 1e3, 800.0, 40.0);

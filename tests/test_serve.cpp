@@ -407,8 +407,10 @@ TEST(SoakSummaryJson, CarriesTheFullSchema) {
         "frames_displayed", "frames_skipped", "frames_abandoned",
         "frames_frozen", "freeze_ratio", "mean_frame_delay_ms",
         "snapshots_taken", "snapshots_retained"}) {
-    EXPECT_NE(json.find("\"" + std::string(key) + "\": "), std::string::npos)
-        << "missing key " << key;
+    std::string quoted = "\"";
+    quoted += key;
+    quoted += "\": ";
+    EXPECT_NE(json.find(quoted), std::string::npos) << "missing key " << key;
   }
 }
 
