@@ -171,9 +171,10 @@ static void BM_SimulatorEvents(benchmark::State& state) {
 BENCHMARK(BM_SimulatorEvents);
 
 // One-shot events whose capture is the size of a link's packet delivery
-// ([this, RtpPacket, SimTime] = 72 bytes) — far past std::function's
-// inline buffer. This is the path of a delivery that falls back from its
-// FIFO lane to the heap (a reordered or duplicated packet).
+// ([this, RtpPacket, SimTime] = 72 bytes), past std::function's inline
+// buffer, so each one allocates. This prices only the chaos fallback: a
+// delivery that leaves its FIFO lane for the heap (a reordered or
+// duplicated packet), which no benchmark workload takes.
 static void BM_SimulatorPayloadEvents(benchmark::State& state) {
   struct Payload {
     std::int64_t words[9];

@@ -1,12 +1,7 @@
 #include "poi360/lte/trace.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
-#include <sstream>
 #include <stdexcept>
-#include <string_view>
-#include <type_traits>
 
 namespace poi360::lte {
 
@@ -44,82 +39,6 @@ Bitrate CapacityTrace::at(SimTime t) const {
   const auto idx = static_cast<std::size_t>(
       std::max<std::ptrdiff_t>(0, it - times_.begin() - 1));
   return capacities_[idx];
-}
-
-namespace {
-
-// Strips surrounding spaces/tabs and a trailing CR (Windows line endings).
-std::string_view strip(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() &&
-         (s.back() == ' ' || s.back() == '\t' || s.back() == '\r')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
-[[noreturn]] void row_error(int row, std::string_view line,
-                            const std::string& what) {
-  throw std::invalid_argument("trace CSV row " + std::to_string(row) +
-                              " (\"" + std::string(line) + "\"): " + what);
-}
-
-// Parses the whole field or dies — std::stoll-style prefix parsing would
-// silently accept "12garbage" as 12.
-template <typename T>
-T parse_field(std::string_view field, int row, std::string_view line,
-              const char* name) {
-  const std::string_view f = strip(field);
-  T value{};
-  const auto [ptr, ec] = std::from_chars(f.data(), f.data() + f.size(), value);
-  if (ec != std::errc{} || ptr != f.data() + f.size() || f.empty()) {
-    row_error(row, line, std::string("unparsable ") + name);
-  }
-  if constexpr (std::is_floating_point_v<T>) {
-    if (!std::isfinite(value)) row_error(row, line, std::string(name) + " not finite");
-  }
-  return value;
-}
-
-}  // namespace
-
-CapacityTrace CapacityTrace::from_csv(const std::string& csv) {
-  CapacityTrace trace;
-  std::istringstream in(csv);
-  std::string raw;
-  int row = 0;
-  bool first_content = true;
-  while (std::getline(in, raw)) {
-    ++row;
-    const std::string_view line = strip(raw);
-    if (line.empty()) continue;  // blank / whitespace-only rows are padding
-    if (first_content) {
-      first_content = false;
-      if (line.rfind("time_us", 0) == 0) continue;  // skip header row
-    }
-    const auto comma = line.find(',');
-    if (comma == std::string_view::npos ||
-        line.find(',', comma + 1) != std::string_view::npos) {
-      row_error(row, line, "expected exactly two comma-separated fields");
-    }
-    const auto t = parse_field<SimTime>(line.substr(0, comma), row, line,
-                                        "time_us");
-    const auto c = parse_field<double>(line.substr(comma + 1), row, line,
-                                       "capacity_bps");
-    try {
-      trace.add(t, c);
-    } catch (const std::invalid_argument& e) {
-      // add() rejects non-monotonic times / negative capacity; keep its
-      // message but point at the offending row.
-      row_error(row, line, e.what());
-    }
-  }
-  if (trace.size() == 0) {
-    throw std::invalid_argument("trace CSV contains no data rows");
-  }
-  return trace;
 }
 
 }  // namespace poi360::lte

@@ -13,7 +13,7 @@ namespace poi360::sim {
 /// A queue of one-shot deliveries of `T` merged into its simulator's event
 /// order: `push(at, item)` fires `consumer(item, at)` at `at`, exactly as
 /// `schedule_at(at, ...)` would, but the item waits in a ring instead of
-/// riding an `InlineCallback` through the one-shot heap.
+/// riding a callback through the one-shot heap.
 ///
 /// `Consumer` is any callable taking `(T, SimTime)`. A caller on a hot path
 /// passes a concrete functor type so each delivery is a direct call; the
@@ -24,7 +24,7 @@ namespace poi360::sim {
 /// the same as with one-shot events. A push earlier than the lane's last
 /// item falls back to `schedule_at`, so a non-monotone stream (a reordered
 /// or duplicated packet, a display time that moves backwards) stays
-/// correct; it only loses the fast path.
+/// correct; it only loses the fast path, and its callback may allocate.
 ///
 /// The lane is pinned (its address is in the engine and in fallback
 /// events) and must not outlive its simulator.

@@ -1,24 +1,14 @@
 #include "poi360/sim/simulator.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace poi360::sim {
 
-std::uint32_t Simulator::acquire_slot(Callback cb) {
-  if (!free_slots_.empty()) {
-    const std::uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    slots_[slot] = std::move(cb);
-    return slot;
-  }
-  const std::uint32_t slot = static_cast<std::uint32_t>(slots_.size());
-  slots_.push_back(std::move(cb));
-  return slot;
-}
-
 void Simulator::schedule_at(SimTime t, Callback cb) {
   if (t < now_) t = now_;
-  queue_.push(Event{t, next_seq_++, acquire_slot(std::move(cb))});
+  queue_.push_back(Event{t, next_seq_++, std::move(cb)});
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
 }
 
 void Simulator::schedule_periodic(SimTime start, SimDuration period,
@@ -81,7 +71,7 @@ bool Simulator::fire_next(SimTime horizon) {
   Source source = Source::kNone;
   Key best = kIdle;
   if (!queue_.empty()) {
-    best = Key{queue_.top().time, queue_.top().seq};
+    best = Key{queue_.front().time, queue_.front().seq};
     source = Source::kHeap;
   }
   if (!periodic_keys_.empty() && periodic_keys_[earliest_periodic_] < best) {
@@ -113,12 +103,11 @@ bool Simulator::fire_next(SimTime horizon) {
       lanes_[earliest_lane_]->deliver_head();
       break;
     default: {
-      const Event ev = queue_.top();
-      queue_.pop();
       // Move the callback out before invoking: the callback may schedule
-      // new events, which can grow `slots_` and recycle this slot.
-      Callback cb = std::move(slots_[ev.slot]);
-      free_slots_.push_back(ev.slot);
+      // new events, which can reallocate the heap under it.
+      std::pop_heap(queue_.begin(), queue_.end(), Later{});
+      Callback cb = std::move(queue_.back().cb);
+      queue_.pop_back();
       cb();
       break;
     }

@@ -2,12 +2,11 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <limits>
-#include <queue>
 #include <vector>
 
 #include "poi360/common/time.h"
-#include "poi360/sim/callback.h"
 
 namespace poi360::sim {
 
@@ -61,15 +60,16 @@ class LaneBase {
 ///
 /// Three lanes share one logical (time, seq) order:
 ///
-///  * one-shot events go through a binary heap of 24-byte POD entries whose
-///    callbacks live in a recycled slot pool — `InlineCallback` keeps
-///    typical captures out of the heap allocator, and keeping the callable
-///    out of the priority queue keeps sift operations cheap;
+///  * one-shot events — arrivals and departures, wireline completions, a
+///    lane item that arrived out of order — sit in a binary heap of
+///    `{time, seq, callback}` entries. No benchmark workload's steady state
+///    reaches it (DESIGN §8.2 has the counts), so it is a plain
+///    `std::vector` heap of `std::function`s;
 ///  * periodic timers — the fixed-cadence streams that dominate a session
 ///    (the LTE grant tick, pacer ticks, diag reports, frame capture) —
 ///    live in a dedicated lane: each firing advances the timer in place,
-///    so after setup a periodic stream never touches the heap *or* the
-///    priority queue. Their (next, seq) keys sit in one contiguous vector
+///    so after setup a periodic stream neither allocates nor touches the
+///    one-shot heap. Their (next, seq) keys sit in one contiguous vector
 ///    with the index of the earliest key cached; only a periodic firing or
 ///    a new timer can move it, so other firings skip the lane's scan;
 ///  * FIFO lanes (`FifoLane<T>`) carry monotone one-shot streams — a
@@ -88,7 +88,7 @@ class LaneBase {
 /// smallest (time, seq).
 class Simulator {
  public:
-  using Callback = InlineCallback;
+  using Callback = std::function<void()>;
 
   Simulator() = default;
   // Lanes hold the engine's address.
@@ -122,8 +122,8 @@ class Simulator {
 
   struct Event {
     SimTime time;
-    std::uint64_t seq;   // tie-breaker: FIFO among same-time events
-    std::uint32_t slot;  // index of the callback in slots_
+    std::uint64_t seq;  // tie-breaker: FIFO among same-time events
+    Callback cb;
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
@@ -150,7 +150,6 @@ class Simulator {
   /// <= `horizon`; returns false when nothing qualified.
   bool fire_next(SimTime horizon);
 
-  std::uint32_t acquire_slot(Callback cb);
   void find_earliest_periodic();
   void find_earliest_lane();
   std::size_t attach_lane(LaneBase* lane);
@@ -158,11 +157,7 @@ class Simulator {
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  // One-shot callbacks, indexed by Event::slot and recycled through the
-  // free list; at steady state scheduling allocates nothing.
-  std::vector<Callback> slots_;
-  std::vector<std::uint32_t> free_slots_;
+  std::vector<Event> queue_;  // binary heap under Later
   // Timers are never cancelled. Keys and timers share an index; the deque
   // keeps a firing callback in place while it registers new periodic
   // streams, which may reallocate the key vector.

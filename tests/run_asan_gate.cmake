@@ -2,8 +2,8 @@
 # tree under one sanitizer lives in GATE_DIR; the directory persists between
 # invocations, so after the first configure a build is incremental.
 # Variables: SRC_DIR, GATE_DIR, SANITIZE (address|thread, default address),
-# BUILD (optional space-separated targets: configure GATE_DIR if needed and
-# build them all in one parallel build), RUNS (optional space-separated
+# BUILD (optional space-separated targets: configure GATE_DIR and build
+# them all in one parallel build), RUNS (optional space-separated
 # entries `binary` or `binary:gtest_filter`, run from GATE_DIR/tests; the
 # filter is everything after the first colon, so it may hold more colons).
 
@@ -14,15 +14,16 @@ separate_arguments(build_list UNIX_COMMAND "${BUILD}")
 separate_arguments(runs_list UNIX_COMMAND "${RUNS}")
 
 if(build_list)
-  if(NOT EXISTS ${GATE_DIR}/CMakeCache.txt)
-    execute_process(
-      COMMAND ${CMAKE_COMMAND} -S ${SRC_DIR} -B ${GATE_DIR}
-        -DPOI360_SANITIZE=${SANITIZE} -DCMAKE_BUILD_TYPE=RelWithDebInfo
-      RESULT_VARIABLE config_rc)
-    if(NOT config_rc EQUAL 0)
-      message(FATAL_ERROR
-              "${SANITIZE} gate configure failed (rc=${config_rc})")
-    endif()
+  # Configure on every build, not only the first: `--build --target X`
+  # runs make on the old Makefiles, which know no target added to the
+  # source tree since the last configure.
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -S ${SRC_DIR} -B ${GATE_DIR}
+      -DPOI360_SANITIZE=${SANITIZE} -DCMAKE_BUILD_TYPE=RelWithDebInfo
+    RESULT_VARIABLE config_rc)
+  if(NOT config_rc EQUAL 0)
+    message(FATAL_ERROR
+            "${SANITIZE} gate configure failed (rc=${config_rc})")
   endif()
 
   cmake_host_system_information(RESULT jobs QUERY NUMBER_OF_LOGICAL_CORES)

@@ -40,58 +40,6 @@ TEST(CapacityTrace, ValidatesInput) {
   EXPECT_THROW(empty.at(0), std::logic_error);
 }
 
-TEST(CapacityTrace, FromCsvRejectsGarbage) {
-  EXPECT_THROW(CapacityTrace::from_csv("time_us,capacity_bps\nnonsense"),
-               std::invalid_argument);
-}
-
-TEST(CapacityTrace, FromCsvRejectsTrailingJunkInField) {
-  // std::from_chars must consume the whole field, not a numeric prefix.
-  EXPECT_THROW(CapacityTrace::from_csv("0,1000\n12abc,2000"),
-               std::invalid_argument);
-  EXPECT_THROW(CapacityTrace::from_csv("0,1000bps"), std::invalid_argument);
-}
-
-TEST(CapacityTrace, FromCsvRejectsWrongFieldCount) {
-  EXPECT_THROW(CapacityTrace::from_csv("0 1000"),  // missing comma
-               std::invalid_argument);
-  EXPECT_THROW(CapacityTrace::from_csv("0,1000,extra"),  // three fields
-               std::invalid_argument);
-  EXPECT_THROW(CapacityTrace::from_csv("0,"),  // empty capacity field
-               std::invalid_argument);
-}
-
-TEST(CapacityTrace, FromCsvErrorNamesTheOffendingRow) {
-  // Non-monotonic time on the third data row; the message must say so.
-  try {
-    CapacityTrace::from_csv("time_us,capacity_bps\n0,1000\n50,2000\n50,3000");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("row 4"), std::string::npos)
-        << "message was: " << e.what();
-  }
-}
-
-TEST(CapacityTrace, FromCsvRejectsNegativeAndNonFiniteCapacity) {
-  EXPECT_THROW(CapacityTrace::from_csv("0,-5"), std::invalid_argument);
-  EXPECT_THROW(CapacityTrace::from_csv("0,inf"), std::invalid_argument);
-  EXPECT_THROW(CapacityTrace::from_csv("0,nan"), std::invalid_argument);
-}
-
-TEST(CapacityTrace, FromCsvAcceptsBlankLinesAndCrlf) {
-  const CapacityTrace trace = CapacityTrace::from_csv(
-      "time_us,capacity_bps\r\n\n0, 1000\r\n  1000 , 2000 \n\n");
-  ASSERT_EQ(trace.size(), 2u);
-  EXPECT_DOUBLE_EQ(trace.at(0), 1000.0);
-  EXPECT_DOUBLE_EQ(trace.at(msec(1)), 2000.0);
-}
-
-TEST(CapacityTrace, FromCsvRejectsEmptyInput) {
-  EXPECT_THROW(CapacityTrace::from_csv(""), std::invalid_argument);
-  EXPECT_THROW(CapacityTrace::from_csv("time_us,capacity_bps\n"),
-               std::invalid_argument);
-}
-
 TEST(CapacityTrace, ReplayedChannelIsExactlyReproducible) {
   ChannelConfig source_config;
   UplinkChannel source(source_config, 77);

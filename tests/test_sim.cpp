@@ -346,23 +346,51 @@ TEST(Simulator, MatchesReferenceEngineOnRandomizedSchedules) {
   }
 }
 
-// Move-only callables (impossible with std::function) are accepted, and
-// large captures fall back to the heap transparently.
-TEST(Simulator, AcceptsMoveOnlyAndOversizedCallbacks) {
+// Captures past std::function's small buffer live on the allocator heap
+// and reach the callback intact.
+TEST(Simulator, AcceptsOversizedCallbacks) {
   Simulator s;
-  auto payload = std::make_unique<int>(7);
-  int got = 0;
-  s.schedule_at(msec(1), [p = std::move(payload), &got]() { got = *p; });
   struct Big {
-    std::int64_t words[32];  // past the inline buffer
+    std::int64_t words[32];
   };
   Big big{};
   big.words[31] = 9;
   std::int64_t big_got = 0;
   s.schedule_at(msec(2), [big, &big_got]() { big_got = big.words[31]; });
   s.run_until(msec(5));
-  EXPECT_EQ(got, 7);
   EXPECT_EQ(big_got, 9);
+}
+
+// A running callback may grow the engine under itself: a one-shot that
+// schedules a thousand one-shots reallocates the heap it was popped from,
+// and a periodic that registers another periodic may reallocate the key
+// vector. Both then read their own captures. The one-shot's two
+// references fit std::function's small buffer, so were the callback
+// invoked in place in the heap, those reads would hit freed storage.
+TEST(Simulator, CallbackMayGrowTheHeapWhileItRuns) {
+  Simulator s;
+  std::vector<int> order;
+  s.schedule_at(msec(1), [&s, &order]() {
+    for (int i = 0; i < 1000; ++i) {
+      s.schedule_at(msec(2), [&order, i]() { order.push_back(i); });
+    }
+    order.push_back(-1);
+  });
+  bool registered = false;
+  s.schedule_periodic(msec(3), msec(2), [&s, &order, &registered]() {
+    if (!registered) {
+      registered = true;
+      s.schedule_periodic(msec(4), msec(2),
+                          [&order]() { order.push_back(2000); });
+    }
+    order.push_back(1000);
+  });
+  s.run_until(msec(6));
+  std::vector<int> want{-1};
+  for (int i = 0; i < 1000; ++i) want.push_back(i);
+  for (int v : {1000, 2000, 1000, 2000}) want.push_back(v);
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(s.pending_events(), 2u);
 }
 
 }  // namespace
