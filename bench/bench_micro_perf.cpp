@@ -430,7 +430,7 @@ static void BM_SentPacketCacheInsert(benchmark::State& state) {
     cache.insert(packet);
     ++packet.seq;
   }
-  benchmark::DoNotOptimize(cache.lookup(packet.seq - 1));
+  benchmark::DoNotOptimize(cache.claim_retransmission(packet.seq - 1, 0, 0));
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SentPacketCacheInsert);

@@ -36,8 +36,10 @@ SimDuration MismatchTracker::on_frame(SimTime display_time,
   (void)roi_changed;  // the level test subsumes explicit change detection
 
   samples_.emplace_back(display_time, m);
+  sum_ += m;
   while (!samples_.empty() &&
          samples_.front().first < display_time - config_.window) {
+    sum_ -= samples_.front().second;
     samples_.pop_front();
   }
   return m;
@@ -45,9 +47,8 @@ SimDuration MismatchTracker::on_frame(SimTime display_time,
 
 SimDuration MismatchTracker::average() const {
   if (samples_.empty()) return 0;
-  double sum = 0.0;
-  for (const auto& [t, m] : samples_) sum += static_cast<double>(m);
-  return static_cast<SimDuration>(sum / static_cast<double>(samples_.size()));
+  return static_cast<SimDuration>(static_cast<double>(sum_) /
+                                  static_cast<double>(samples_.size()));
 }
 
 

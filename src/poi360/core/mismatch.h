@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <optional>
 
@@ -55,6 +56,9 @@ class MismatchTracker {
  private:
   Config config_;
   std::deque<std::pair<SimTime, SimDuration>> samples_;
+  // Sum of the windowed samples. Integer µs sums stay far below 2^53, so
+  // converting the sum once gives the same double as summing in doubles.
+  std::int64_t sum_ = 0;
   std::optional<SimTime> mismatch_since_;
   std::optional<SimTime> converged_since_;
   std::optional<video::TileIndex> last_roi_;

@@ -14,9 +14,9 @@ namespace poi360::lte {
 /// (below that the scheduler grants nothing), and a 9 kB/subframe ceiling
 /// (~72 Mbps, beyond any uplink considered here).
 struct TbsQuantizer {
-  std::int64_t step_bytes = 24;
-  std::int64_t min_bytes = 32;
-  std::int64_t max_bytes = 9000;
+  static constexpr std::int64_t step_bytes = 24;
+  static constexpr std::int64_t min_bytes = 32;
+  static constexpr std::int64_t max_bytes = 9000;
 
   /// Largest TBS not exceeding `grant_bytes`; 0 if below the minimum.
   std::int64_t quantize(std::int64_t grant_bytes) const {

@@ -114,6 +114,9 @@ void RtpReceiver::on_packet(const RtpPacket& packet, SimTime arrival) {
     arrivals_.erase(arrivals_.begin(),
                     arrivals_.begin() + static_cast<std::ptrdiff_t>(
                                             arrivals_head_));
+    for (RateCursor& c : rate_cursors_) {
+      c.index = c.index > arrivals_head_ ? c.index - arrivals_head_ : 0;
+    }
     arrivals_head_ = 0;
   }
 
@@ -306,14 +309,25 @@ Bitrate RtpReceiver::incoming_rate(SimDuration window) const {
   // No estimate until a full window of history exists: a half-filled window
   // under-reads the rate, and the AIMD cap would slash the target at session
   // start.
-  const auto live = arrivals_.begin() +
-                    static_cast<std::ptrdiff_t>(arrivals_head_);
-  if (arrivals_.back().first - live->first < window) return 0.0;
+  if (arrivals_.back().first - arrivals_[arrivals_head_].first < window) {
+    return 0.0;
+  }
   const SimTime cutoff = arrivals_.back().first - window;
-  const auto first = std::partition_point(
-      live, arrivals_.end(),
-      [cutoff](const auto& a) { return a.first < cutoff; });
-  return rate_of(total_bytes_ - first->second, window);
+  auto cursor = std::find_if(
+      rate_cursors_.begin(), rate_cursors_.end(),
+      [window](const RateCursor& c) { return c.window == window; });
+  if (cursor == rate_cursors_.end()) {
+    std::rotate(rate_cursors_.begin(), rate_cursors_.end() - 1,
+                rate_cursors_.end());
+    cursor = rate_cursors_.begin();
+    *cursor = RateCursor{.window = window};
+  }
+  // Entries behind the cursor are older than an earlier cutoff, so older
+  // than this one; the newest entry is not, which ends the walk.
+  std::size_t i = std::max(cursor->index, arrivals_head_);
+  while (arrivals_[i].first < cutoff) ++i;
+  cursor->index = i;
+  return rate_of(total_bytes_ - arrivals_[i].second, window);
 }
 
 }  // namespace poi360::rtp

@@ -184,10 +184,17 @@ class RtpReceiver {
 
   // Trailing arrival log for rate estimation: (arrival time, media bytes
   // received before this packet), live from arrivals_head_ on. Arrival
-  // times are nondecreasing, so the bytes inside any trailing window are
-  // one binary search away.
+  // times are nondecreasing, so a window's cutoff only moves forward: each
+  // window keeps a cursor on the first entry at or past its last cutoff,
+  // and incoming_rate walks it on from there. Sessions ask for two windows
+  // (500 ms and 1 s); a third evicts the least recently added cursor.
   std::vector<std::pair<SimTime, std::int64_t>> arrivals_;
   std::size_t arrivals_head_ = 0;
+  struct RateCursor {
+    SimDuration window = 0;  // 0 = unused
+    std::size_t index = 0;   // into arrivals_
+  };
+  mutable std::array<RateCursor, 2> rate_cursors_{};
 
   std::int64_t total_bytes_ = 0;
   std::int64_t frames_completed_ = 0;

@@ -63,12 +63,6 @@ class SentPacketCache {
     }
   }
 
-  std::optional<RtpPacket> lookup(std::int64_t seq) const {
-    const std::size_t i = index_of(seq);
-    if (i == kAbsent) return std::nullopt;
-    return slots_[i].packet;
-  }
-
   /// Claims `seq` for retransmission at `now`: returns its packet, stamped
   /// `now` and marked queued until it is re-inserted. Returns nullopt, and
   /// changes nothing, when the seq is absent, its previous retransmission is

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <utility>
+
+#include "poi360/common/rng.h"
 #include "poi360/core/mismatch.h"
 
 namespace poi360::core {
@@ -90,6 +94,35 @@ TEST(Mismatch, WindowAverage) {
   // Samples older than the window are evicted.
   tracker.on_frame(msec(1600), msec(700), 1.0, 1.0, {6, 4});
   EXPECT_EQ(tracker.average(), msec(700));
+}
+
+// The running sum against the sum of the window's samples in doubles, the
+// way the average was computed before. Frames come at jittered intervals
+// with gaps longer than the window (every sample evicted at once), and long
+// mismatch spells drive M to hours, so window sums reach ~1e11 µs.
+TEST(Mismatch, RunningAverageMatchesTheDoubleSumReference) {
+  MismatchTracker::Config config;
+  config.window = msec(500);
+  MismatchTracker tracker(config);
+  std::deque<std::pair<SimTime, SimDuration>> window;
+  Rng rng(11);
+  SimTime t = 0;
+  for (int i = 0; i < 200'000; ++i) {
+    t += rng.bernoulli(0.001) ? rng.uniform_int(msec(600), sec(400))
+                              : rng.uniform_int(0, msec(60));
+    const double level = rng.bernoulli(0.3) ? 1.0 : rng.uniform(1.0, 3.0);
+    const SimDuration m = tracker.on_frame(
+        t, rng.uniform_int(msec(20), sec(3)), level, 1.0,
+        {static_cast<int>(rng.uniform_int(0, 11)), 4});
+    window.emplace_back(t, m);
+    while (window.front().first < t - config.window) window.pop_front();
+    double sum = 0.0;
+    for (const auto& [at, sample] : window) sum += static_cast<double>(sample);
+    ASSERT_EQ(tracker.average(),
+              static_cast<SimDuration>(sum /
+                                       static_cast<double>(window.size())))
+        << "frame " << i;
+  }
 }
 
 TEST(Mismatch, EmptyAverageIsZero) {

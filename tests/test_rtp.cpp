@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <stdexcept>
 #include <optional>
+#include <stdexcept>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "poi360/common/rng.h"
@@ -157,6 +159,16 @@ TEST(Pacer, IdleDoesNotBankUnboundedCredit) {
 
 // ----------------------------------------------------------------- retx --
 
+// Whether the cache holds `seq`, and with what payload, through the public
+// API: a held seq is claimed for retransmission and the claimed copy is
+// re-inserted, as when it leaves the pacer, which clears the queued mark
+// again. Only for caches whose seqs are never left queued.
+std::optional<RtpPacket> probe(SentPacketCache& cache, std::int64_t seq) {
+  auto packet = cache.claim_retransmission(seq, 0, 0);
+  if (packet) cache.insert(*packet);
+  return packet;
+}
+
 TEST(SentPacketCache, LookupAndEviction) {
   SentPacketCache cache(4);
   RtpPacket p;
@@ -166,10 +178,12 @@ TEST(SentPacketCache, LookupAndEviction) {
     cache.insert(p);
   }
   EXPECT_EQ(cache.size(), 4u);
-  EXPECT_FALSE(cache.lookup(0).has_value());
-  EXPECT_FALSE(cache.lookup(1).has_value());
-  ASSERT_TRUE(cache.lookup(5).has_value());
-  EXPECT_EQ(cache.lookup(5)->bytes, 105);
+  EXPECT_FALSE(probe(cache, 0).has_value());
+  EXPECT_FALSE(probe(cache, 1).has_value());
+  const auto five = probe(cache, 5);
+  ASSERT_TRUE(five.has_value());
+  EXPECT_EQ(five->bytes, 105);
+  EXPECT_EQ(cache.size(), 4u);
 
   // A new seq takes the slot of its residue mod the capacity, not the
   // oldest one: after a gap, seq 13 evicts seq 5 and leaves seq 2.
@@ -177,12 +191,12 @@ TEST(SentPacketCache, LookupAndEviction) {
   p.bytes = 113;
   cache.insert(p);
   EXPECT_EQ(cache.size(), 4u);
-  EXPECT_FALSE(cache.lookup(5).has_value());
-  EXPECT_TRUE(cache.lookup(2).has_value());
+  EXPECT_FALSE(probe(cache, 5).has_value());
+  EXPECT_TRUE(probe(cache, 2).has_value());
   // A seq that only shares a held seq's residue is absent.
-  EXPECT_FALSE(cache.lookup(9).has_value());
-  EXPECT_FALSE(cache.lookup(13 - 4 * 1024).has_value());
-  EXPECT_EQ(cache.lookup(13)->bytes, 113);
+  EXPECT_FALSE(probe(cache, 9).has_value());
+  EXPECT_FALSE(probe(cache, 13 - 4 * 1024).has_value());
+  EXPECT_EQ(probe(cache, 13)->bytes, 113);
 
   // Below the capacity nothing is evicted: seqs whose slots collide in the
   // small starting ring part as it grows.
@@ -193,13 +207,13 @@ TEST(SentPacketCache, LookupAndEviction) {
   }
   EXPECT_EQ(big.size(), 5u);
   for (const std::int64_t seq : {0, 64, 128, 512, -100}) {
-    EXPECT_TRUE(big.lookup(seq).has_value()) << "seq " << seq;
+    EXPECT_TRUE(probe(big, seq).has_value()) << "seq " << seq;
   }
   p.seq = 1024;  // shares seq 0's residue mod the capacity
   big.insert(p);
   EXPECT_EQ(big.size(), 5u);
-  EXPECT_FALSE(big.lookup(0).has_value());
-  EXPECT_TRUE(big.lookup(1024).has_value());
+  EXPECT_FALSE(probe(big, 0).has_value());
+  EXPECT_TRUE(probe(big, 1024).has_value());
 }
 
 TEST(SentPacketCache, RejectsACapacityThatIsNotAPowerOfTwo) {
@@ -222,8 +236,9 @@ TEST(SentPacketCache, DuplicateSeqUpdatesInPlaceWithoutEviction) {
   p.bytes = 999;  // same seq, refreshed payload
   cache.insert(p);
   EXPECT_EQ(cache.size(), 1u);
-  ASSERT_TRUE(cache.lookup(0).has_value());
-  EXPECT_EQ(cache.lookup(0)->bytes, 999);
+  const auto zero = probe(cache, 0);
+  ASSERT_TRUE(zero.has_value());
+  EXPECT_EQ(zero->bytes, 999);
 
   for (int i = 1; i <= 3; ++i) {
     RtpPacket q;
@@ -234,15 +249,15 @@ TEST(SentPacketCache, DuplicateSeqUpdatesInPlaceWithoutEviction) {
   // Exactly at capacity: every seq must still be resident.
   EXPECT_EQ(cache.size(), 4u);
   for (int i = 0; i <= 3; ++i) {
-    EXPECT_TRUE(cache.lookup(i).has_value()) << "seq " << i;
+    EXPECT_TRUE(probe(cache, i).has_value()) << "seq " << i;
   }
   RtpPacket q;
   q.seq = 4;
   q.bytes = 104;
   cache.insert(q);
   EXPECT_EQ(cache.size(), 4u);
-  EXPECT_FALSE(cache.lookup(0).has_value());  // seq 4 took its slot
-  EXPECT_TRUE(cache.lookup(4).has_value());
+  EXPECT_FALSE(probe(cache, 0).has_value());  // seq 4 took its slot
+  EXPECT_TRUE(probe(cache, 4).has_value());
 }
 
 TEST(SentPacketCache, RetransmissionStampAndQueuedMark) {
@@ -282,7 +297,8 @@ TEST(SentPacketCache, RetransmissionStampAndQueuedMark) {
   EXPECT_TRUE(cache.claim_retransmission(8, msec(160), kWindow).has_value());
   q.seq = 9;
   cache.insert(q);  // takes seq 7's slot (both are odd)
-  EXPECT_FALSE(cache.lookup(7).has_value());
+  // Two slots, held by 8 and 9 (claimed below): seq 7 is gone.
+  EXPECT_EQ(cache.size(), 2u);
   EXPECT_TRUE(cache.claim_retransmission(9, msec(160), kWindow).has_value());
   EXPECT_FALSE(cache.claim_retransmission(8, sec(10), kWindow).has_value());
 }
@@ -356,7 +372,7 @@ TEST(SentPacketCache, MatchesTheMapAndDequeReferenceUnderRandomTraffic) {
         const std::int64_t seq =
             next_seq - rng.uniform_int(0, static_cast<std::int64_t>(
                                               2 * capacity + 4));
-        ASSERT_TRUE(same_packet(cache.lookup(seq), reference.lookup(seq)))
+        ASSERT_TRUE(same_packet(probe(cache, seq), reference.lookup(seq)))
             << "capacity " << capacity << " op " << op << " seq " << seq;
         continue;
       }
@@ -373,7 +389,7 @@ TEST(SentPacketCache, MatchesTheMapAndDequeReferenceUnderRandomTraffic) {
     // other seq in the touched range is.
     for (std::int64_t seq = next_seq - static_cast<std::int64_t>(capacity) - 50;
          seq <= next_seq + 1; ++seq) {
-      ASSERT_TRUE(same_packet(cache.lookup(seq), reference.lookup(seq)))
+      ASSERT_TRUE(same_packet(probe(cache, seq), reference.lookup(seq)))
           << "capacity " << capacity << " seq " << seq;
     }
   }
@@ -708,6 +724,63 @@ TEST(Receiver, IncomingRateMatchesSteadyStream) {
   EXPECT_NEAR(h.receiver.incoming_rate(msec(500)) / 1e3, 800.0, 40.0);
   EXPECT_EQ(h.receiver.frames_completed(), 150);
   EXPECT_EQ(h.receiver.total_media_bytes(), 150'000);
+}
+
+// incoming_rate walks one cursor per window; a binary search over the same
+// arrival log is the reference. Arrivals come in runs with equal stamps and
+// now and then after an idle gap longer than the 2 s log, so the receiver
+// drops the log's expired half dozens of times between queries. The 500 ms
+// and 1 s windows are queried interleaved, as a session does, and a rare
+// third window (or one longer than the log) evicts one of their cursors.
+TEST(Receiver, IncomingRateMatchesTheBinarySearchReference) {
+  ReceiverHarness h;
+  Packetizer p(1200);
+  Rng rng(7);
+  // (arrival, media bytes received before it), as the receiver logs it.
+  std::vector<std::pair<SimTime, std::int64_t>> log;
+  std::int64_t total = 0;
+  const auto reference = [&](SimDuration window) -> Bitrate {
+    const SimTime newest = log.back().first;
+    const auto live =
+        std::partition_point(log.begin(), log.end(), [&](const auto& a) {
+          return a.first < newest - sec(2);
+        });
+    if (newest - live->first < window) return 0.0;
+    const auto first =
+        std::partition_point(live, log.end(), [&](const auto& a) {
+          return a.first < newest - window;
+        });
+    return rate_of(total - first->second, window);
+  };
+
+  SimTime t = 0;
+  int queries = 0;
+  for (std::int64_t frame = 0; frame < 3000; ++frame) {
+    t += rng.bernoulli(0.01) ? rng.uniform_int(sec(2), sec(3))
+                             : rng.uniform_int(0, msec(40));
+    for (const RtpPacket& packet :
+         fragments_of(p, frame, t, rng.uniform_int(200, 6000))) {
+      if (!rng.bernoulli(0.4)) t += rng.uniform_int(0, msec(3));
+      h.receiver.on_packet(packet, t);
+      log.emplace_back(t, total);
+      total += packet.bytes;
+      for (const SimDuration window : {msec(500), sec(1)}) {
+        if (rng.bernoulli(0.3)) {
+          ASSERT_EQ(h.receiver.incoming_rate(window), reference(window))
+              << "frame " << frame << " window " << window;
+          ++queries;
+        }
+      }
+      if (rng.bernoulli(0.005)) {
+        const SimDuration window =
+            rng.bernoulli(0.5) ? msec(250) : rng.uniform_int(sec(2), sec(3));
+        ASSERT_EQ(h.receiver.incoming_rate(window), reference(window))
+            << "frame " << frame << " window " << window;
+      }
+    }
+  }
+  EXPECT_EQ(h.receiver.total_media_bytes(), total);
+  EXPECT_GT(queries, 1000);
 }
 
 }  // namespace
