@@ -6,7 +6,9 @@
 
 namespace poi360 {
 
-/// Fixed-capacity FIFO that overwrites the oldest element when full.
+/// Fixed-capacity FIFO that overwrites the oldest element when full. The
+/// capacity need not be a power of two, so indices wrap by one compare and
+/// subtract instead of a division.
 ///
 /// Used for the bounded histories the POI360 controllers keep: the last K
 /// firmware-buffer samples for the congestion detector (Eq. 3) and the
@@ -20,16 +22,16 @@ class RingBuffer {
   }
 
   void push(const T& value) {
-    data_[(head_ + size_) % capacity_] = value;
+    data_[wrap(head_ + size_)] = value;
     if (size_ == capacity_) {
-      head_ = (head_ + 1) % capacity_;
+      head_ = wrap(head_ + 1);
     } else {
       ++size_;
     }
   }
 
   /// Element `i` counted from the oldest retained element.
-  const T& operator[](std::size_t i) const { return data_[(head_ + i) % capacity_]; }
+  const T& operator[](std::size_t i) const { return data_[wrap(head_ + i)]; }
 
   const T& front() const { return (*this)[0]; }
   const T& back() const { return (*this)[size_ - 1]; }
@@ -38,7 +40,7 @@ class RingBuffer {
   T pop_front() {
     if (size_ == 0) throw std::logic_error("RingBuffer::pop_front on empty");
     T value = data_[head_];
-    head_ = (head_ + 1) % capacity_;
+    head_ = wrap(head_ + 1);
     --size_;
     return value;
   }
@@ -54,6 +56,11 @@ class RingBuffer {
   }
 
  private:
+  // Maps a position in [0, 2 * capacity) onto the ring.
+  std::size_t wrap(std::size_t i) const {
+    return i >= capacity_ ? i - capacity_ : i;
+  }
+
   std::vector<T> data_;
   std::size_t capacity_ = 0;
   std::size_t head_ = 0;

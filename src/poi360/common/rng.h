@@ -12,7 +12,8 @@ namespace poi360 {
 /// its output is bit-identical to `std::mt19937_64` for every seed. The
 /// block refill selects the twist constant with a mask, `(0 - (y & 1)) & a`,
 /// instead of a conditional on the low bit, so the refill loop has no
-/// data-dependent branch.
+/// data-dependent branch, and tempers the whole block into a second array,
+/// so a draw is one load.
 class Mt19937_64 {
  public:
   using result_type = std::uint64_t;
@@ -33,12 +34,7 @@ class Mt19937_64 {
 
   result_type operator()() {
     if (index_ >= kN) refill();
-    std::uint64_t y = state_[index_++];
-    y ^= (y >> 29) & 0x5555555555555555ull;
-    y ^= (y << 17) & 0x71D67FFFEDA60000ull;
-    y ^= (y << 37) & 0xFFF7EEE000000000ull;
-    y ^= y >> 43;
-    return y;
+    return out_[index_++];
   }
 
   /// Advances the state as if `z` values had been drawn.
@@ -52,7 +48,12 @@ class Mt19937_64 {
     }
   }
 
-  friend bool operator==(const Mt19937_64&, const Mt19937_64&) = default;
+  /// Equal engines produce the same stream. The tempered block is left out:
+  /// it is a function of the state once filled, and zero before the first
+  /// draw fills it.
+  friend bool operator==(const Mt19937_64& a, const Mt19937_64& b) {
+    return a.index_ == b.index_ && a.state_ == b.state_;
+  }
 
  private:
   static constexpr std::size_t kN = 312;
@@ -76,10 +77,20 @@ class Mt19937_64 {
       state_[i] = twist(state_[i], state_[i + 1], state_[i + kM - kN]);
     }
     state_[kN - 1] = twist(state_[kN - 1], state_[0], state_[kM - 1]);
+    for (i = 0; i < kN; ++i) out_[i] = temper(state_[i]);
     index_ = 0;
   }
 
+  static std::uint64_t temper(std::uint64_t y) {
+    y ^= (y >> 29) & 0x5555555555555555ull;
+    y ^= (y << 17) & 0x71D67FFFEDA60000ull;
+    y ^= (y << 37) & 0xFFF7EEE000000000ull;
+    y ^= y >> 43;
+    return y;
+  }
+
   std::array<std::uint64_t, kN> state_;
+  std::array<std::uint64_t, kN> out_{};  // tempered state_ after a refill
   std::size_t index_ = kN;
 };
 

@@ -98,7 +98,7 @@ std::vector<std::pair<double, double>> SampleSet::cdf_points(int bins) const {
 }
 
 void SlidingWindowStats::add(SimTime t, double value) {
-  samples_.emplace_back(t, value);
+  samples_.push_back({t, value});
   evict(t);
 }
 

@@ -1,10 +1,11 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "poi360/common/fifo.h"
 #include "poi360/common/time.h"
 
 // Statistics helpers shared by controllers, metrics collection and the
@@ -116,7 +117,7 @@ class SlidingWindowStats {
   void evict(SimTime now);
 
   SimDuration window_;
-  std::deque<std::pair<SimTime, double>> samples_;
+  Fifo<std::pair<SimTime, double>> samples_;
 };
 
 }  // namespace poi360

@@ -1,8 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
+#include "poi360/common/fifo.h"
 #include "poi360/common/ring_buffer.h"
 #include "poi360/common/stats.h"
 #include "poi360/common/time.h"
@@ -80,7 +80,7 @@ class TbsWindowEstimator {
 
  private:
   Config config_;
-  std::deque<lte::DiagReport> reports_;
+  Fifo<lte::DiagReport> reports_;
 };
 
 /// Learns the "sweet spot" firmware buffer level B* (paper §4.3.2): high

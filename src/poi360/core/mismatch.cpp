@@ -35,7 +35,7 @@ SimDuration MismatchTracker::on_frame(SimTime display_time,
   }
   (void)roi_changed;  // the level test subsumes explicit change detection
 
-  samples_.emplace_back(display_time, m);
+  samples_.push_back({display_time, m});
   sum_ += m;
   while (!samples_.empty() &&
          samples_.front().first < display_time - config_.window) {

@@ -1,9 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
+#include <utility>
 
+#include "poi360/common/fifo.h"
 #include "poi360/common/time.h"
 #include "poi360/video/tile_grid.h"
 
@@ -55,7 +56,7 @@ class MismatchTracker {
 
  private:
   Config config_;
-  std::deque<std::pair<SimTime, SimDuration>> samples_;
+  Fifo<std::pair<SimTime, SimDuration>> samples_;
   // Sum of the windowed samples. Integer µs sums stay far below 2^53, so
   // converting the sum once gives the same double as summing in doubles.
   std::int64_t sum_ = 0;

@@ -525,10 +525,9 @@ Bitrate Session::trailing_rphy(SimDuration window) const {
   if (diag_history_.empty()) return 0.0;
   std::int64_t bytes = 0;
   SimDuration span = 0;
-  for (auto it = diag_history_.rbegin(); it != diag_history_.rend(); ++it) {
-    if (span >= window) break;
-    bytes += it->tbs_bytes;
-    span += it->interval;
+  for (std::size_t i = diag_history_.size(); i-- > 0 && span < window;) {
+    bytes += diag_history_[i].tbs_bytes;
+    span += diag_history_[i].interval;
   }
   return span > 0 ? rate_of(bytes, span) : 0.0;
 }

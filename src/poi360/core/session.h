@@ -1,13 +1,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "poi360/baseline/conduit.h"
 #include "poi360/baseline/pyramid.h"
+#include "poi360/common/fifo.h"
 #include "poi360/common/id_ring.h"
 #include "poi360/common/rng.h"
 #include "poi360/core/adaptive_compression.h"
@@ -242,7 +242,7 @@ class Session {
   metrics::SessionMetrics metrics_;
   std::unique_ptr<obs::TraceRecorder> trace_;
   TraceHook trace_hook_;
-  std::deque<lte::DiagReport> diag_history_;
+  Fifo<lte::DiagReport> diag_history_;
   std::int64_t last_second_bytes_ = 0;
   bool ran_ = false;
   bool finished_ = false;

@@ -30,8 +30,8 @@ BandwidthUsage TrendlineEstimator::update(SimTime group_send_time,
       config_.smoothing * smoothed_delay_ms_ +
       (1.0 - config_.smoothing) * accumulated_delay_ms_;
 
-  samples_.emplace_back(to_millis(group_arrival_time - first_arrival_),
-                        smoothed_delay_ms_);
+  samples_.push_back({to_millis(group_arrival_time - first_arrival_),
+                     smoothed_delay_ms_});
   if (samples_.size() > static_cast<std::size_t>(config_.window_size)) {
     samples_.pop_front();
   }

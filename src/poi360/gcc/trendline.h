@@ -1,7 +1,8 @@
 #pragma once
 
-#include <deque>
+#include <utility>
 
+#include "poi360/common/fifo.h"
 #include "poi360/common/time.h"
 
 namespace poi360::gcc {
@@ -57,7 +58,7 @@ class TrendlineEstimator {
 
   double accumulated_delay_ms_ = 0.0;
   double smoothed_delay_ms_ = 0.0;
-  std::deque<std::pair<double, double>> samples_;  // (arrival ms, smoothed)
+  Fifo<std::pair<double, double>> samples_;  // (arrival ms, smoothed)
 
   double trend_ = 0.0;
   double threshold_ms_;

@@ -71,13 +71,20 @@ void SharedCell::extend(SimTime now) {
 
 double SharedCell::background_weight_at(SimTime now) {
   if (now > frontier_) extend(now);
-  // Last segment starting at or before `now`.
-  auto it = std::upper_bound(
-      segments_.begin(), segments_.end(), now,
-      [](SimTime t, const Segment& s) { return t < s.start; });
-  if (it != segments_.begin()) --it;
+  // Last segment starting at or before `now` (the first when none does):
+  // binary search for the first segment starting after it.
+  std::size_t lo = 0;
+  std::size_t hi = segments_.size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (now < segments_[mid].start) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
   return config_.background.background_weight *
-         static_cast<double>(it->active);
+         static_cast<double>(segments_[lo == 0 ? 0 : lo - 1].active);
 }
 
 double SharedCell::share(int ue, SimTime now) {

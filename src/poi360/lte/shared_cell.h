@@ -1,10 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <utility>
 #include <vector>
 
+#include "poi360/common/fifo.h"
 #include "poi360/common/rng.h"
 #include "poi360/common/time.h"
 
@@ -128,7 +128,7 @@ class SharedCell {
   std::vector<BgUser> background_;
   /// Piecewise-constant active-background count; segments_[i] holds from
   /// its start until the next segment's start. Never empty.
-  std::deque<Segment> segments_;
+  Fifo<Segment> segments_;
   std::vector<std::pair<SimTime, int>> pending_;  // extend() scratch
   SimTime frontier_ = 0;
   double sched_weight_ = 0.0;

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <stdexcept>
 #include <utility>
 
+#include "poi360/common/fifo.h"
 #include "poi360/common/ring_buffer.h"
 #include "poi360/common/rng.h"
 #include "poi360/common/time.h"
@@ -126,8 +126,8 @@ class LteUplink {
       return;
     }
     buffer_bytes_ += packet.bytes;
-    queue_.emplace_back(std::move(packet), 0);
-    queue_.back().second = queue_.back().first.bytes;
+    const std::int64_t bytes = packet.bytes;
+    queue_.push_back({std::move(packet), bytes});
   }
 
   std::int64_t buffer_bytes() const { return buffer_bytes_; }
@@ -324,7 +324,7 @@ class LteUplink {
   SubframeProbe probe_;
   TbsQuantizer quantizer_;
 
-  std::deque<std::pair<T, std::int64_t>> queue_;  // (packet, bytes left)
+  Fifo<std::pair<T, std::int64_t>> queue_;  // (packet, bytes left)
   std::int64_t buffer_bytes_ = 0;
   std::int64_t dropped_ = 0;
 

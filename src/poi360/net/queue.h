@@ -1,10 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <utility>
 
+#include "poi360/common/fifo.h"
 #include "poi360/common/time.h"
 #include "poi360/common/units.h"
 #include "poi360/sim/simulator.h"
@@ -65,7 +65,7 @@ class DrainQueue {
   Bitrate rate_;
   std::int64_t byte_limit_;
   Sink sink_;
-  std::deque<T> queue_;
+  Fifo<T> queue_;
   std::int64_t queued_bytes_ = 0;
   std::int64_t dropped_ = 0;
   bool busy_ = false;

@@ -19,7 +19,7 @@ void RoiPredictor::add_sample(SimTime t, Orientation orientation) {
   }
   Orientation unwrapped = orientation;
   unwrapped.yaw_deg = unwrapped_last_yaw_;
-  samples_.emplace_back(t, unwrapped);
+  samples_.push_back({t, unwrapped});
 
   while (!samples_.empty() &&
          samples_.front().first < t - config_.fit_window) {

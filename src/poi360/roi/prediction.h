@@ -1,7 +1,8 @@
 #pragma once
 
-#include <deque>
+#include <utility>
 
+#include "poi360/common/fifo.h"
 #include "poi360/common/time.h"
 #include "poi360/roi/orientation.h"
 
@@ -50,7 +51,7 @@ class RoiPredictor {
   Config config_;
   // Samples carry unwrapped (continuous) yaw so linear fits work across the
   // ±180° seam.
-  std::deque<std::pair<SimTime, Orientation>> samples_;
+  Fifo<std::pair<SimTime, Orientation>> samples_;
   double unwrapped_last_yaw_ = 0.0;
   double yaw_velocity_ = 0.0;
   double pitch_velocity_ = 0.0;

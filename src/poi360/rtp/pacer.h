@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <stdexcept>
 #include <utility>
 
+#include "poi360/common/fifo.h"
 #include "poi360/common/time.h"
 #include "poi360/common/units.h"
 #include "poi360/obs/trace.h"
@@ -68,16 +68,11 @@ class Pacer {
   /// number of packets dropped. Retransmissions already queued for the
   /// frame are purged too.
   std::size_t drop_frame(std::int64_t frame_id) {
-    std::size_t dropped = 0;
-    for (auto it = queue_.begin(); it != queue_.end();) {
-      if (it->frame_id == frame_id) {
-        queued_bytes_ -= it->bytes;
-        it = queue_.erase(it);
-        ++dropped;
-      } else {
-        ++it;
-      }
-    }
+    const std::size_t dropped = queue_.erase_if([&](const RtpPacket& p) {
+      if (p.frame_id != frame_id) return false;
+      queued_bytes_ -= p.bytes;
+      return true;
+    });
     if (trace_ && dropped > 0) {
       // Close the pace span (its last fragment will never be released) and
       // mark the purge as a recovery action.
@@ -129,7 +124,7 @@ class Pacer {
   Sink sink_;
   SimDuration tick_;
 
-  std::deque<RtpPacket> queue_;
+  Fifo<RtpPacket> queue_;
   std::int64_t queued_bytes_ = 0;
   double budget_bytes_ = 0.0;
   obs::TraceRecorder* trace_ = nullptr;

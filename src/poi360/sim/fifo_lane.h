@@ -3,8 +3,8 @@
 #include <cstdint>
 #include <functional>
 #include <utility>
-#include <vector>
 
+#include "poi360/common/fifo.h"
 #include "poi360/common/time.h"
 #include "poi360/sim/simulator.h"
 
@@ -12,8 +12,8 @@ namespace poi360::sim {
 
 /// A queue of one-shot deliveries of `T` merged into its simulator's event
 /// order: `push(at, item)` fires `consumer(item, at)` at `at`, exactly as
-/// `schedule_at(at, ...)` would, but the item waits in a ring instead of
-/// riding a callback through the one-shot heap.
+/// `schedule_at(at, ...)` would, but the item waits in a ring (a
+/// `poi360::Fifo`) instead of riding a callback through the one-shot heap.
 ///
 /// `Consumer` is any callable taking `(T, SimTime)`. A caller on a hot path
 /// passes a concrete functor type so each delivery is a direct call; the
@@ -37,18 +37,15 @@ class FifoLane final : public LaneBase {
   /// Delivers `item` at `at` (clamped to now).
   void push(SimTime at, T item) {
     if (at < sim_.now()) at = sim_.now();
-    if (size_ != 0 && at < items_[(head_ + size_ - 1) & mask_].at) {
+    if (size_ != 0 && at < items_.back().at) {
       sim_.schedule_at(at, [this, item = std::move(item), at]() mutable {
         consumer_(std::move(item), at);
       });
       return;
     }
-    if (size_ == items_.size()) grow();
-    Item& slot = items_[(head_ + size_) & mask_];
-    slot.at = at;
-    slot.seq = draw_seq();
-    slot.value = std::move(item);
-    if (size_++ == 0) publish_head(slot.at, slot.seq);
+    const std::uint64_t seq = draw_seq();
+    items_.push_back(Item{at, seq, std::move(item)});
+    if (size_++ == 0) publish_head(at, seq);
   }
 
  private:
@@ -59,30 +56,17 @@ class FifoLane final : public LaneBase {
   };
 
   void deliver_head() override {
-    Item& head = items_[head_];
+    Item& head = items_.front();
     const SimTime at = head.at;
     T value = std::move(head.value);
-    head_ = (head_ + 1) & mask_;
+    items_.pop_front();
     --size_;
-    publish_next(items_[head_].at, items_[head_].seq);
+    publish_next(items_.front().at, items_.front().seq);
     consumer_(std::move(value), at);
   }
 
-  // Doubles the ring, unwrapping the queue to the front.
-  void grow() {
-    std::vector<Item> bigger(items_.empty() ? 8 : items_.size() * 2);
-    for (std::size_t i = 0; i < size_; ++i) {
-      bigger[i] = std::move(items_[(head_ + i) & mask_]);
-    }
-    items_ = std::move(bigger);
-    head_ = 0;
-    mask_ = items_.size() - 1;
-  }
-
   Consumer consumer_;
-  std::vector<Item> items_;  // power-of-two ring
-  std::size_t head_ = 0;
-  std::size_t mask_ = 0;
+  Fifo<Item> items_;
 };
 
 }  // namespace poi360::sim

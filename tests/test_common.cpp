@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <random>
 #include <unordered_map>
 #include <vector>
 
+#include "poi360/common/fifo.h"
 #include "poi360/common/id_ring.h"
 #include "poi360/common/ring_buffer.h"
 #include "poi360/common/rng.h"
@@ -244,6 +246,91 @@ TEST(Rng, ForkIsUnaffectedByAPendingSpare) {
   }
   // The parent still hands out its spare after forking.
   EXPECT_EQ(with_spare.normal(0.0, 1.0), spare);
+}
+
+// Fifo against the std::deque it replaces: after every operation of a
+// random mix the two hold the same elements in the same order. The
+// scripted prefix wraps the ring before it has to grow, so a doubling
+// unwraps a queue whose head is not slot 0; push_front from slot 0 wraps
+// the other way.
+TEST(Fifo, MatchesStdDequeUnderRandomOps) {
+  Fifo<int> fifo;
+  std::deque<int> ref;
+  int next = 0;
+  const auto same = [&]() {
+    ASSERT_EQ(fifo.size(), ref.size());
+    ASSERT_EQ(fifo.empty(), ref.empty());
+    for (std::size_t i = 0; i < ref.size(); ++i) ASSERT_EQ(fifo[i], ref[i]);
+    std::vector<int> walked(fifo.begin(), fifo.end());
+    ASSERT_EQ(walked, std::vector<int>(ref.begin(), ref.end()));
+    if (!ref.empty()) {
+      ASSERT_EQ(fifo.front(), ref.front());
+      ASSERT_EQ(fifo.back(), ref.back());
+    }
+  };
+
+  for (int i = 0; i < 6; ++i) {
+    fifo.push_back(next);
+    ref.push_back(next++);
+  }
+  for (int i = 0; i < 5; ++i) {
+    fifo.pop_front();
+    ref.pop_front();
+  }
+  ASSERT_EQ(fifo.capacity(), 8u);
+  for (int i = 0; i < 7; ++i) {  // fills the ring across its end
+    fifo.push_back(next);
+    ref.push_back(next++);
+  }
+  same();
+  ASSERT_EQ(fifo.capacity(), 8u);
+  fifo.push_front(next);  // grows while wrapped
+  ref.push_front(next++);
+  EXPECT_EQ(fifo.capacity(), 16u);
+  same();
+  fifo.clear();
+  ref.clear();
+  fifo.push_front(next);  // from slot 0 to the last slot
+  ref.push_front(next++);
+  same();
+
+  std::mt19937 rng(2024);
+  std::size_t grew_wrapped = 0;
+  for (int op = 0; op < 20000; ++op) {
+    const int kind = static_cast<int>(rng() % 100);
+    const std::size_t capacity = fifo.capacity();
+    const bool wrapped = !ref.empty() && &fifo.back() < &fifo.front();
+    if (kind < 40) {
+      fifo.push_back(next);
+      ref.push_back(next++);
+    } else if (kind < 55) {
+      fifo.push_front(next);
+      ref.push_front(next++);
+    } else if (kind < 93) {
+      if (!ref.empty()) {
+        fifo.pop_front();
+        ref.pop_front();
+      }
+    } else if (kind < 99) {
+      const int mod = 2 + static_cast<int>(rng() % 5);
+      std::vector<int> seen;
+      const std::size_t erased = fifo.erase_if([&](int v) {
+        seen.push_back(v);
+        return v % mod == 0;
+      });
+      ASSERT_EQ(seen, std::vector<int>(ref.begin(), ref.end()));
+      const std::size_t before = ref.size();
+      std::erase_if(ref, [mod](int v) { return v % mod == 0; });
+      ASSERT_EQ(erased, before - ref.size());
+    } else {
+      fifo.clear();
+      ref.clear();
+    }
+    same();
+    if (wrapped && fifo.capacity() != capacity) ++grew_wrapped;
+  }
+  EXPECT_GT(fifo.capacity(), 16u);
+  EXPECT_GT(grew_wrapped, 0u);
 }
 
 TEST(RingBuffer, FifoOverwrite) {

@@ -139,6 +139,50 @@ TEST(Pacer, TracksQueuedBytes) {
   EXPECT_EQ(pacer.queued_packets(), 2u);
 }
 
+// drop_frame purges every queued packet of one frame, retransmissions at
+// the front included, and releases the survivors in their queued order.
+TEST(Pacer, DropFramePurgesOnlyThatFrameInOrder) {
+  sim::Simulator s;
+  std::vector<std::pair<std::int64_t, bool>> released;  // (seq, rtx)
+  Pacer pacer(s, mbps(100), [&](RtpPacket p) {
+    released.push_back({p.seq, p.is_retransmission});
+  });
+  const auto packet = [](std::int64_t seq, std::int64_t frame,
+                         std::int64_t bytes, bool rtx) {
+    RtpPacket p;
+    p.seq = seq;
+    p.frame_id = frame;
+    p.bytes = bytes;
+    p.is_retransmission = rtx;
+    return p;
+  };
+  // Frames 1, 2 and 3 in order; then a retransmission of frame 2 and one of
+  // frame 1 jump the queue, so the front reads rtx 1, rtx 4, 0, 1, ...
+  std::int64_t seq = 0;
+  for (const std::int64_t frame : {1, 1, 1, 2, 2, 2, 3, 3}) {
+    pacer.enqueue(packet(seq, frame, 100 + seq, false));
+    ++seq;
+  }
+  pacer.enqueue_front(packet(4, 2, 1000, true));
+  pacer.enqueue_front(packet(1, 1, 2000, true));
+  const std::int64_t all = 8 * 100 + (0 + 1 + 2 + 3 + 4 + 5 + 6 + 7) + 3000;
+  ASSERT_EQ(pacer.queued_bytes(), all);
+
+  EXPECT_EQ(pacer.drop_frame(7), 0u);
+  EXPECT_EQ(pacer.queued_bytes(), all);
+  EXPECT_EQ(pacer.drop_frame(2), 4u);
+  EXPECT_EQ(pacer.queued_packets(), 6u);
+  EXPECT_EQ(pacer.queued_bytes(), all - 1000 - (103 + 104 + 105));
+  EXPECT_EQ(pacer.drop_frame(2), 0u);
+
+  pacer.start();
+  s.run_until(msec(50));
+  const std::vector<std::pair<std::int64_t, bool>> want{
+      {1, true}, {0, false}, {1, false}, {2, false}, {6, false}, {7, false}};
+  EXPECT_EQ(released, want);
+  EXPECT_EQ(pacer.queued_bytes(), 0);
+}
+
 TEST(Pacer, IdleDoesNotBankUnboundedCredit) {
   sim::Simulator s;
   std::vector<SimTime> sent;

@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -112,12 +113,22 @@ template <typename S>
 concept HasStep = requires(S& s) { s.step(); };
 static_assert(!HasStep<Simulator>);
 
+// Each callback counts its firing and throws past the two scheduled, so an
+// engine that re-fires events fails at once instead of running away.
 TEST(Simulator, NestedSchedulingDuringEvent) {
   Simulator s;
   std::vector<int> order;
+  int fired = 0;
+  const auto count_firing = [&fired]() {
+    if (++fired > 2) throw std::runtime_error("more firings than scheduled");
+  };
   s.schedule_at(msec(10), [&]() {
+    count_firing();
     order.push_back(1);
-    s.schedule_at(msec(10), [&]() { order.push_back(2); });  // same time
+    s.schedule_at(msec(10), [&]() {  // same time
+      count_firing();
+      order.push_back(2);
+    });
   });
   s.run_until(msec(10));
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
@@ -254,6 +265,18 @@ class ReferenceLane {
   std::function<void(int, SimTime)> consumer_;
 };
 
+struct FiringLog {
+  std::size_t limit;
+  std::vector<std::pair<int, SimTime>> entries;
+
+  void push_back(std::pair<int, SimTime> entry) {
+    if (entries.size() >= limit) {
+      throw std::runtime_error("more firings than scheduled");
+    }
+    entries.push_back(entry);
+  }
+};
+
 template <typename Engine>
 struct LaneOf {
   using type = FifoLane<int>;
@@ -269,13 +292,16 @@ struct LaneOf<ReferenceEngine> {
 // the current timestamp. Lane A gets monotone pushes, pushes at now() from
 // one-shot callbacks, and pushes onto itself during its own deliveries;
 // lane B gets pushes in random order, so many take the heap fallback.
-// Returns the full (tag, time) firing log.
+// Returns the full (tag, time) firing log. Every firing logs itself, and
+// the log throws once it would pass `limit` entries, so an engine that
+// fires more than the scenario scheduled fails at once.
 template <typename Engine>
-std::vector<std::pair<int, SimTime>> run_scenario(Engine& e, unsigned seed) {
+std::vector<std::pair<int, SimTime>> run_scenario(Engine& e, unsigned seed,
+                                                  std::size_t limit) {
   using Lane = typename LaneOf<Engine>::type;
   std::mt19937 rng(seed);
   std::uniform_int_distribution<int> time_ms(0, 200);
-  std::vector<std::pair<int, SimTime>> log;
+  FiringLog log{limit, {}};
 
   Lane* lane_a = nullptr;
   Lane a(e, [&e, &log, &lane_a](int tag, SimTime at) {
@@ -327,7 +353,7 @@ std::vector<std::pair<int, SimTime>> run_scenario(Engine& e, unsigned seed) {
     });
   }
   e.run_until(msec(400));
-  return log;
+  return log.entries;
 }
 
 // Differential property test: the production engine's firing order equals
@@ -336,8 +362,8 @@ TEST(Simulator, MatchesReferenceEngineOnRandomizedSchedules) {
   for (unsigned seed : {1u, 7u, 42u, 1234u}) {
     Simulator fast;
     ReferenceEngine ref;
-    const auto got = run_scenario(fast, seed);
-    const auto want = run_scenario(ref, seed);
+    const auto want = run_scenario(ref, seed, SIZE_MAX);
+    const auto got = run_scenario(fast, seed, want.size());
     ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
     for (std::size_t i = 0; i < got.size(); ++i) {
       ASSERT_EQ(got[i], want[i]) << "seed " << seed << " index " << i;

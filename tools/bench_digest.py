@@ -17,8 +17,11 @@ With `--against`, every run is reported as `same`, `DIFF`, `NEW` or
 holds `examples/example_poi360_cli` next to the bench directory, its
 `--csv frames` and `--csv rates` dumps for seeds 1 and 7 are fingerprinted
 too. Each run happens in a fresh temporary directory, so files a bench
-writes (trace_demo/) never land in the caller's tree. `--jobs N` sets POI360_JOBS, the worker count of
-benches that run in parallel; no bench's stdout depends on it.
+writes (trace_demo/) never land in the caller's tree. Every file a run
+leaves there is fingerprinted as one more entry, named
+`<run name> :: <relative path>` and carrying the run's exit code.
+`--jobs N` sets POI360_JOBS, the worker count of benches that run in
+parallel; no bench's stdout depends on it.
 """
 
 import argparse
@@ -70,13 +73,22 @@ def bench_runs(bench_dir, corpus):
 
 
 def digest_run(argv, jobs):
+    """(sha256 of stdout, exit code, {relative path: sha256} of the files
+    the run left in its working directory)."""
     env = dict(os.environ)
     if jobs:
         env["POI360_JOBS"] = str(jobs)
     with tempfile.TemporaryDirectory(prefix="bench_digest_") as cwd:
         proc = subprocess.run(argv, cwd=cwd, env=env, stdout=subprocess.PIPE,
                               stderr=subprocess.DEVNULL)
-    return hashlib.sha256(proc.stdout).hexdigest(), proc.returncode
+        files = {}
+        for root, _, names in os.walk(cwd):
+            for name in names:
+                path = os.path.join(root, name)
+                with open(path, "rb") as f:
+                    sha = hashlib.sha256(f.read()).hexdigest()
+                files[os.path.relpath(path, cwd)] = sha
+    return hashlib.sha256(proc.stdout).hexdigest(), proc.returncode, files
 
 
 def parse_listing(text):
@@ -127,10 +139,13 @@ def main(argv=None):
 
     current = {}
     for name, cmd in runs:
-        sha, rc = digest_run(cmd, args.jobs)
-        current[name] = (sha, rc)
-        if not args.against:
-            print(f"{sha}  {rc}  {name}", flush=True)
+        sha, rc, files = digest_run(cmd, args.jobs)
+        entries = [(name, sha)] + [(f"{name} :: {path}", files[path])
+                                   for path in sorted(files)]
+        for entry, entry_sha in entries:
+            current[entry] = (entry_sha, rc)
+            if not args.against:
+                print(f"{entry_sha}  {rc}  {entry}", flush=True)
     if not args.against:
         return 0
 

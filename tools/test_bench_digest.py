@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Selftest for bench_digest.py: fingerprints fake bench binaries and diffs
-two listings (same / DIFF / NEW / MISSING)."""
+"""Selftest for bench_digest.py: fingerprints fake bench binaries and the
+files they write, and diffs two listings (same / DIFF / NEW / MISSING)."""
 
 import contextlib
 import io
@@ -61,7 +61,8 @@ class BenchDigestTest(unittest.TestCase):
         parsed = bench_digest.parse_listing(self.listing())
         self.assertEqual(sorted(parsed), [
             "bench_alpha", "bench_chaos_search", "bench_chaos_search --replay",
-            "bench_fails", "bench_jobs", "bench_soak", "bench_writer"])
+            "bench_fails", "bench_jobs", "bench_soak", "bench_writer",
+            "bench_writer :: trace_demo/t.json"])
         self.assertEqual(parsed["bench_fails"][1], 3)
         runs = dict(bench_digest.bench_runs(self.bench, "/c"))
         self.assertEqual(runs["bench_soak"][1:],
@@ -87,7 +88,7 @@ class BenchDigestTest(unittest.TestCase):
             f.write(self.listing())
         rc, out = run([self.bench, "--corpus", "/c", "--against", reference])
         self.assertEqual(rc, 0, out)
-        self.assertIn("7/7 runs byte-identical", out)
+        self.assertIn("8/8 runs byte-identical", out)
 
         write_script(self.bench, "bench_alpha", 'echo ALPHA "$@"')
         os.remove(os.path.join(self.bench, "bench_writer"))
@@ -96,6 +97,7 @@ class BenchDigestTest(unittest.TestCase):
         self.assertEqual(rc, 1)
         self.assertIn("DIFF    bench_alpha", out)
         self.assertIn("MISSING bench_writer", out)
+        self.assertIn("MISSING bench_writer :: trace_demo/t.json", out)
         self.assertIn("NEW     bench_new", out)
         self.assertIn("same    bench_soak", out)
 
@@ -117,9 +119,39 @@ class BenchDigestTest(unittest.TestCase):
         self.assertEqual(cli_runs["example_poi360_cli --seed 7 --csv rates"][1:],
                          ["--seed", "7", "--csv", "rates"])
         listing = bench_digest.parse_listing(self.listing())
-        self.assertEqual(len(listing), 11)
+        self.assertEqual(len(listing), 12)
         self.assertNotEqual(listing["example_poi360_cli --seed 1 --csv frames"],
                             listing["example_poi360_cli --seed 7 --csv frames"])
+
+    def test_files_a_run_writes_are_fingerprinted(self):
+        write_script(self.bench, "bench_writer",
+                     "mkdir -p trace_demo/sub && echo x > trace_demo/t.json; "
+                     "echo y > trace_demo/sub/u.csv; echo z > top.txt; "
+                     "echo wrote")
+        parsed = bench_digest.parse_listing(self.listing())
+        files = sorted(n for n in parsed if n.startswith("bench_writer ::"))
+        self.assertEqual(files, ["bench_writer :: top.txt",
+                                 "bench_writer :: trace_demo/sub/u.csv",
+                                 "bench_writer :: trace_demo/t.json"])
+        self.assertNotEqual(parsed["bench_writer :: top.txt"],
+                            parsed["bench_writer :: trace_demo/t.json"])
+        self.assertEqual(parsed["bench_writer :: top.txt"][1], 0)
+        self.assertFalse(any(" :: " in n for n in parsed
+                             if not n.startswith("bench_writer")))
+
+        # Same stdout, one changed file: only that file's entry differs.
+        reference = os.path.join(self.tmp.name, "ref.digest")
+        with open(reference, "w") as f:
+            f.write(self.listing())
+        write_script(self.bench, "bench_writer",
+                     "mkdir -p trace_demo/sub && echo x > trace_demo/t.json; "
+                     "echo Y > trace_demo/sub/u.csv; echo wrote")
+        rc, out = run([self.bench, "--corpus", "/c", "--against", reference])
+        self.assertEqual(rc, 1)
+        self.assertIn("same    bench_writer\n", out)
+        self.assertIn("same    bench_writer :: trace_demo/t.json", out)
+        self.assertIn("DIFF    bench_writer :: trace_demo/sub/u.csv", out)
+        self.assertIn("MISSING bench_writer :: top.txt", out)
 
     def test_empty_directory_is_an_error(self):
         empty = os.path.join(self.tmp.name, "empty")
