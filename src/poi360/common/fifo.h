@@ -15,8 +15,8 @@ namespace poi360 {
 /// queue to its front; it never shrinks, so it keeps its peak capacity.
 ///
 /// Elements live in a `std::vector<T>`, so `T` must be default-constructible
-/// and move-assignable. A popped or erased slot keeps its moved-from value
-/// until a push reuses it.
+/// and move-assignable. A popped slot keeps its value, and an erased one
+/// its moved-from value, until a push reuses it.
 template <typename T>
 class Fifo {
   template <bool Const>

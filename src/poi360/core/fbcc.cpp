@@ -1,20 +1,25 @@
 #include "poi360/core/fbcc.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace poi360::core {
 
 CongestionDetector::CongestionDetector(Config config)
-    : config_(config),
-      history_(static_cast<std::size_t>(config.k) + 1),
-      gamma_(config.gamma_alpha) {}
+    : config_(config), gamma_(config.gamma_alpha) {
+  if (config.k < 0) {
+    throw std::invalid_argument("CongestionDetector k must be >= 0");
+  }
+}
 
 bool CongestionDetector::on_report(std::int64_t buffer_bytes) {
-  history_.push(buffer_bytes);
+  const auto span = static_cast<std::size_t>(config_.k) + 1;
+  if (history_.size() == span) history_.pop_front();
+  history_.push_back(buffer_bytes);
   gamma_.add(static_cast<double>(buffer_bytes));
 
   last_signal_ = false;
-  if (history_.full()) {
+  if (history_.size() == span) {
     int decreases = 0;
     for (std::size_t n = 1; n < history_.size(); ++n) {
       if (history_[n] <= history_[n - 1]) ++decreases;

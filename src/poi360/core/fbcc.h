@@ -3,7 +3,6 @@
 #include <cstdint>
 
 #include "poi360/common/fifo.h"
-#include "poi360/common/ring_buffer.h"
 #include "poi360/common/stats.h"
 #include "poi360/common/time.h"
 #include "poi360/common/units.h"
@@ -30,6 +29,7 @@ class CongestionDetector {
   };
 
   CongestionDetector();
+  /// Throws std::invalid_argument for a negative `k`.
   explicit CongestionDetector(Config config);
 
   /// Feeds one buffer-level report; returns the congestion indicator J.
@@ -47,7 +47,7 @@ class CongestionDetector {
 
  private:
   Config config_;
-  RingBuffer<std::int64_t> history_;
+  Fifo<std::int64_t> history_;  // the last k + 1 reports
   Ewma gamma_;
   bool last_signal_ = false;
 };

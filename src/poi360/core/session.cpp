@@ -356,7 +356,7 @@ void Session::on_capture() {
     trace_->span_begin(sim_.now(), "frame", "encode", id,
                        {{"bytes", static_cast<double>(frame.bytes)}});
   }
-  in_flight_.emplace(id, std::move(frame));
+  in_flight_.try_emplace(id, std::move(frame));
   encoded_frames_.push(sim_.now() + config_.capture_encode_delay, id);
 }
 

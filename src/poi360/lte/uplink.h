@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "poi360/common/fifo.h"
-#include "poi360/common/ring_buffer.h"
 #include "poi360/common/rng.h"
 #include "poi360/common/time.h"
 #include "poi360/common/units.h"
@@ -104,7 +103,7 @@ class LteUplink {
         channel_(channel_config, seed),
         rng_(Rng(seed).fork(0x1f7)),
         sink_(std::move(sink)),
-        bsr_history_(bsr_slots(config_.bsr_delay, grant_interval_)) {}
+        bsr_grants_(bsr_slots(config_.bsr_delay, grant_interval_)) {}
 
   /// Begins the grant and diagnostic schedules. Call once.
   void start() {
@@ -205,9 +204,12 @@ class LteUplink {
     }
 
     // The scheduler sees the stale buffer level from the BSR round trip.
-    const std::int64_t reported =
-        bsr_history_.full() ? bsr_history_.front() : 0;
-    bsr_history_.push(buffer_bytes_);
+    std::int64_t reported = 0;
+    if (bsr_history_.size() == bsr_grants_) {
+      reported = bsr_history_.front();
+      bsr_history_.pop_front();
+    }
+    bsr_history_.push_back(buffer_bytes_);
 
     // Grant-slope surge and famine processes (random telegraphs).
     step_telegraph(surge_, now, config_.surge_mean_duration, msec(20),
@@ -328,7 +330,8 @@ class LteUplink {
   std::int64_t buffer_bytes_ = 0;
   std::int64_t dropped_ = 0;
 
-  RingBuffer<std::int64_t> bsr_history_;  // buffer level at past grants
+  std::size_t bsr_grants_;          // BSR round trip, in grants
+  Fifo<std::int64_t> bsr_history_;  // buffer level at past grants
   Telegraph surge_;
   Telegraph famine_;
   SimTime detached_until_ = 0;

@@ -1,5 +1,7 @@
 #include "poi360/obs/slo.h"
 
+#include <algorithm>
+
 namespace poi360::obs {
 
 const char* slo_objective_name(SloObjective objective) {
@@ -11,10 +13,7 @@ const char* slo_objective_name(SloObjective objective) {
   return "unknown";
 }
 
-SloTracker::SloTracker(const SloConfig& config)
-    : config_(config),
-      checkpoints_(config.checkpoint_capacity > 0 ? config.checkpoint_capacity
-                                                  : 1) {}
+SloTracker::SloTracker(const SloConfig& config) : config_(config) {}
 
 double SloTracker::budget(int objective) const {
   switch (static_cast<SloObjective>(objective)) {
@@ -68,7 +67,7 @@ SloTransitions SloTracker::observe(SimTime now, const SloSample& cumulative,
   SloTransitions out;
   if (checkpoints_.empty()) {
     // First observation anchors the budget windows; no rates yet.
-    checkpoints_.push({now, cumulative});
+    checkpoints_.push_back({now, cumulative});
     return out;
   }
 
@@ -112,7 +111,11 @@ SloTransitions SloTracker::observe(SimTime now, const SloSample& cumulative,
          checkpoints_[1].at <= now - config_.slow_window) {
     checkpoints_.pop_front();
   }
-  checkpoints_.push({now, cumulative});
+  if (checkpoints_.size() ==
+      std::max<std::size_t>(1, config_.checkpoint_capacity)) {
+    checkpoints_.pop_front();
+  }
+  checkpoints_.push_back({now, cumulative});
   return out;
 }
 

@@ -3,7 +3,7 @@
 #include <cstdint>
 #include <cstddef>
 
-#include "poi360/common/ring_buffer.h"
+#include "poi360/common/fifo.h"
 #include "poi360/common/time.h"
 #include "poi360/obs/trace.h"
 
@@ -106,7 +106,7 @@ class SloTracker {
   const Checkpoint& reference(SimTime now, SimDuration window) const;
 
   SloConfig config_;
-  RingBuffer<Checkpoint> checkpoints_;
+  Fifo<Checkpoint> checkpoints_;  // at most max(1, checkpoint_capacity)
   SloStatus status_{};
 };
 

@@ -10,9 +10,7 @@ RtpReceiver::RtpReceiver(sim::Simulator& simulator, Config config,
     : sim_(simulator),
       config_(config),
       frame_sink_(std::move(frame_sink)),
-      nack_sink_(std::move(nack_sink)) {
-  finished_.fill(-1);
-}
+      nack_sink_(std::move(nack_sink)) {}
 
 void RtpReceiver::start() {
   sim_.schedule_periodic(sim_.now() + config_.nack_retry, config_.nack_retry,
@@ -73,15 +71,6 @@ void RtpReceiver::detect_gaps(std::int64_t seq, SimTime now) {
   next_expected_seq_ = seq + 1;
 }
 
-void RtpReceiver::mark_finished(std::int64_t frame_id) {
-  finished_[static_cast<std::uint64_t>(frame_id) % kFinishedSlots] = frame_id;
-}
-
-bool RtpReceiver::finished(std::int64_t frame_id) const {
-  return finished_[static_cast<std::uint64_t>(frame_id) % kFinishedSlots] ==
-         frame_id;
-}
-
 std::size_t RtpReceiver::find_assembly(std::int64_t frame_id) const {
   for (std::size_t i = 0; i < open_; ++i) {
     if (frames_[i].frame_id == frame_id) return i;
@@ -106,23 +95,16 @@ void RtpReceiver::on_packet(const RtpPacket& packet, SimTime arrival) {
   }
 
   ++interval_received_;
-  arrivals_.emplace_back(arrival, total_bytes_);
+  arrivals_.push_back({arrival, total_bytes_});
   total_bytes_ += packet.bytes;
-  while (arrivals_[arrivals_head_].first < arrival - sec(2)) ++arrivals_head_;
-  if (2 * arrivals_head_ >= arrivals_.size()) {
-    // Drop the expired half in one move: amortized O(1) per packet.
-    arrivals_.erase(arrivals_.begin(),
-                    arrivals_.begin() + static_cast<std::ptrdiff_t>(
-                                            arrivals_head_));
-    for (RateCursor& c : rate_cursors_) {
-      c.index = c.index > arrivals_head_ ? c.index - arrivals_head_ : 0;
-    }
-    arrivals_head_ = 0;
+  while (arrivals_.front().first < arrival - sec(2)) {
+    arrivals_.pop_front();
+    ++arrivals_popped_;
   }
 
   detect_gaps(packet.seq, arrival);
 
-  if (finished(packet.frame_id)) {
+  if (finished_.find(packet.frame_id) != nullptr) {
     // Late duplicate of a frame already delivered or abandoned; opening a
     // fresh assembly for it would leak state that can never complete.
     ++recovery_.stale_packets;
@@ -206,7 +188,7 @@ void RtpReceiver::on_packet(const RtpPacket& packet, SimTime arrival) {
         .had_loss = a.had_loss,
     };
     close_assembly(index);
-    mark_finished(packet.frame_id);
+    finished_.try_emplace(packet.frame_id);
     ++frames_completed_;
     if (trace_) {
       trace_->span_end(arrival, "frame", "assemble", packet.frame_id,
@@ -220,7 +202,7 @@ void RtpReceiver::on_packet(const RtpPacket& packet, SimTime arrival) {
 void RtpReceiver::evict_assembly(std::int64_t frame_id,
                                  std::vector<std::int64_t>& abandoned) {
   close_assembly(find_assembly(frame_id));
-  mark_finished(frame_id);
+  finished_.try_emplace(frame_id);
   abandoned.push_back(frame_id);
   if (trace_) {
     // The frame's last fragment will never arrive: close its assemble span
@@ -309,7 +291,7 @@ Bitrate RtpReceiver::incoming_rate(SimDuration window) const {
   // No estimate until a full window of history exists: a half-filled window
   // under-reads the rate, and the AIMD cap would slash the target at session
   // start.
-  if (arrivals_.back().first - arrivals_[arrivals_head_].first < window) {
+  if (arrivals_.back().first - arrivals_.front().first < window) {
     return 0.0;
   }
   const SimTime cutoff = arrivals_.back().first - window;
@@ -324,9 +306,10 @@ Bitrate RtpReceiver::incoming_rate(SimDuration window) const {
   }
   // Entries behind the cursor are older than an earlier cutoff, so older
   // than this one; the newest entry is not, which ends the walk.
-  std::size_t i = std::max(cursor->index, arrivals_head_);
+  std::size_t i = std::max(cursor->position, arrivals_popped_) -
+                  arrivals_popped_;
   while (arrivals_[i].first < cutoff) ++i;
-  cursor->index = i;
+  cursor->position = arrivals_popped_ + i;
   return rate_of(total_bytes_ - arrivals_[i].second, window);
 }
 

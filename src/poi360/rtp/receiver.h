@@ -5,8 +5,11 @@
 #include <functional>
 #include <map>
 #include <utility>
+#include <variant>
 #include <vector>
 
+#include "poi360/common/fifo.h"
+#include "poi360/common/id_ring.h"
 #include "poi360/common/time.h"
 #include "poi360/common/units.h"
 #include "poi360/obs/trace.h"
@@ -151,8 +154,6 @@ class RtpReceiver {
   void abandon_overdue(SimTime now);
   void evict_assembly(std::int64_t frame_id,
                       std::vector<std::int64_t>& abandoned);
-  void mark_finished(std::int64_t frame_id);
-  bool finished(std::int64_t frame_id) const;
   SimDuration retry_interval(int attempts) const;
 
   sim::Simulator& sim_;
@@ -171,28 +172,25 @@ class RtpReceiver {
 
   // Recently finished (completed or abandoned) frames: packets for these
   // are stale — without this a late duplicate would re-open a ghost
-  // assembly that can never complete. A finished id sits at slot `id mod
-  // kFinishedSlots` until a later-finished id takes the slot; frames finish
-  // in about id order, so that covers the last kFinishedSlots frames. -1
-  // marks a free slot (validated frame ids are non-negative).
-  static constexpr std::size_t kFinishedSlots = 1024;
-  std::array<std::int64_t, kFinishedSlots> finished_;
+  // assembly that can never complete. Frames finish in about id order, so
+  // a 1024-slot cap covers the last 1024 frames.
+  IdRing<std::monostate> finished_{1024};
 
   // Interval loss accounting.
   std::int64_t interval_received_ = 0;
   std::int64_t interval_lost_ = 0;
 
   // Trailing arrival log for rate estimation: (arrival time, media bytes
-  // received before this packet), live from arrivals_head_ on. Arrival
+  // received before this packet), popped once older than 2 s. Arrival
   // times are nondecreasing, so a window's cutoff only moves forward: each
   // window keeps a cursor on the first entry at or past its last cutoff,
   // and incoming_rate walks it on from there. Sessions ask for two windows
   // (500 ms and 1 s); a third evicts the least recently added cursor.
-  std::vector<std::pair<SimTime, std::int64_t>> arrivals_;
-  std::size_t arrivals_head_ = 0;
+  Fifo<std::pair<SimTime, std::int64_t>> arrivals_;
+  std::size_t arrivals_popped_ = 0;  // entries ever popped from arrivals_
   struct RateCursor {
-    SimDuration window = 0;  // 0 = unused
-    std::size_t index = 0;   // into arrivals_
+    SimDuration window = 0;    // 0 = unused
+    std::size_t position = 0;  // arrivals_popped_ + index into arrivals_
   };
   mutable std::array<RateCursor, 2> rate_cursors_{};
 

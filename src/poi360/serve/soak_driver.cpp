@@ -15,7 +15,6 @@ SoakDriver::SoakDriver(SoakConfig config)
       arrivals_rng_(Rng(config_.seed).fork(0xA881)),
       durations_rng_(Rng(config_.seed).fork(0xD0A7)),
       admission_(config_.admission, Rng(config_.seed).fork(0xCE11).engine()()),
-      snapshots_(std::max<std::size_t>(1, config_.snapshot_window)),
       slots_(static_cast<std::size_t>(std::max(1, config_.slots))) {
   free_slots_.reserve(slots_.size());
   for (std::size_t i = slots_.size(); i > 0; --i) {
@@ -279,7 +278,11 @@ void SoakDriver::on_snapshot_tick() {
   registry_.counter("serve.snapshots.taken").inc();
   std::string text = registry_.prometheus_text();
   if (plane_) plane_->publish(registry_);
-  snapshots_.push(Snapshot{sim_.now(), std::move(text)});
+  if (snapshots_.size() ==
+      std::max<std::size_t>(1, config_.snapshot_window)) {
+    snapshots_.pop_front();
+  }
+  snapshots_.push_back(Snapshot{sim_.now(), std::move(text)});
 }
 
 void SoakDriver::observe_slo() {

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "poi360/common/ring_buffer.h"
+#include "poi360/common/fifo.h"
 #include "poi360/common/rng.h"
 #include "poi360/common/time.h"
 #include "poi360/core/config.h"
@@ -20,8 +20,9 @@
 namespace poi360::serve {
 
 /// One periodic Prometheus-style exposition snapshot. Snapshots live in a
-/// bounded rolling window (drop-oldest, the obs-ring semantics) instead of
-/// accumulating one artifact per run: a soak run produces hours of them.
+/// rolling window of the last `SoakConfig::snapshot_window` (at least one;
+/// a new snapshot drops the oldest) instead of accumulating one artifact per
+/// run: a soak run produces hours of them.
 struct Snapshot {
   SimTime at = 0;
   std::string text;
@@ -136,7 +137,7 @@ class SoakDriver {
   SoakSummary run();
 
   const obs::MetricsRegistry& registry() const { return registry_; }
-  const RingBuffer<Snapshot>& snapshots() const { return snapshots_; }
+  const Fifo<Snapshot>& snapshots() const { return snapshots_; }
 
   /// Present only when the telemetry plane is on (config.telemetry).
   const TelemetryPlane* telemetry_plane() const { return plane_.get(); }
@@ -183,7 +184,7 @@ class SoakDriver {
   Rng durations_rng_;
   AdmissionController admission_;
   obs::MetricsRegistry registry_;
-  RingBuffer<Snapshot> snapshots_;
+  Fifo<Snapshot> snapshots_;
 
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;

@@ -1,17 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <random>
-#include <unordered_map>
-#include <vector>
 
-#include "poi360/common/fifo.h"
-#include "poi360/common/id_ring.h"
-#include "poi360/common/ring_buffer.h"
 #include "poi360/common/rng.h"
 #include "poi360/common/stats.h"
 #include "poi360/common/table.h"
@@ -246,231 +239,6 @@ TEST(Rng, ForkIsUnaffectedByAPendingSpare) {
   }
   // The parent still hands out its spare after forking.
   EXPECT_EQ(with_spare.normal(0.0, 1.0), spare);
-}
-
-// Fifo against the std::deque it replaces: after every operation of a
-// random mix the two hold the same elements in the same order. The
-// scripted prefix wraps the ring before it has to grow, so a doubling
-// unwraps a queue whose head is not slot 0; push_front from slot 0 wraps
-// the other way.
-TEST(Fifo, MatchesStdDequeUnderRandomOps) {
-  Fifo<int> fifo;
-  std::deque<int> ref;
-  int next = 0;
-  const auto same = [&]() {
-    ASSERT_EQ(fifo.size(), ref.size());
-    ASSERT_EQ(fifo.empty(), ref.empty());
-    for (std::size_t i = 0; i < ref.size(); ++i) ASSERT_EQ(fifo[i], ref[i]);
-    std::vector<int> walked(fifo.begin(), fifo.end());
-    ASSERT_EQ(walked, std::vector<int>(ref.begin(), ref.end()));
-    if (!ref.empty()) {
-      ASSERT_EQ(fifo.front(), ref.front());
-      ASSERT_EQ(fifo.back(), ref.back());
-    }
-  };
-
-  for (int i = 0; i < 6; ++i) {
-    fifo.push_back(next);
-    ref.push_back(next++);
-  }
-  for (int i = 0; i < 5; ++i) {
-    fifo.pop_front();
-    ref.pop_front();
-  }
-  ASSERT_EQ(fifo.capacity(), 8u);
-  for (int i = 0; i < 7; ++i) {  // fills the ring across its end
-    fifo.push_back(next);
-    ref.push_back(next++);
-  }
-  same();
-  ASSERT_EQ(fifo.capacity(), 8u);
-  fifo.push_front(next);  // grows while wrapped
-  ref.push_front(next++);
-  EXPECT_EQ(fifo.capacity(), 16u);
-  same();
-  fifo.clear();
-  ref.clear();
-  fifo.push_front(next);  // from slot 0 to the last slot
-  ref.push_front(next++);
-  same();
-
-  std::mt19937 rng(2024);
-  std::size_t grew_wrapped = 0;
-  for (int op = 0; op < 20000; ++op) {
-    const int kind = static_cast<int>(rng() % 100);
-    const std::size_t capacity = fifo.capacity();
-    const bool wrapped = !ref.empty() && &fifo.back() < &fifo.front();
-    if (kind < 40) {
-      fifo.push_back(next);
-      ref.push_back(next++);
-    } else if (kind < 55) {
-      fifo.push_front(next);
-      ref.push_front(next++);
-    } else if (kind < 93) {
-      if (!ref.empty()) {
-        fifo.pop_front();
-        ref.pop_front();
-      }
-    } else if (kind < 99) {
-      const int mod = 2 + static_cast<int>(rng() % 5);
-      std::vector<int> seen;
-      const std::size_t erased = fifo.erase_if([&](int v) {
-        seen.push_back(v);
-        return v % mod == 0;
-      });
-      ASSERT_EQ(seen, std::vector<int>(ref.begin(), ref.end()));
-      const std::size_t before = ref.size();
-      std::erase_if(ref, [mod](int v) { return v % mod == 0; });
-      ASSERT_EQ(erased, before - ref.size());
-    } else {
-      fifo.clear();
-      ref.clear();
-    }
-    same();
-    if (wrapped && fifo.capacity() != capacity) ++grew_wrapped;
-  }
-  EXPECT_GT(fifo.capacity(), 16u);
-  EXPECT_GT(grew_wrapped, 0u);
-}
-
-TEST(RingBuffer, FifoOverwrite) {
-  RingBuffer<int> rb(3);
-  EXPECT_TRUE(rb.empty());
-  rb.push(1);
-  rb.push(2);
-  EXPECT_EQ(rb.size(), 2u);
-  EXPECT_EQ(rb.front(), 1);
-  EXPECT_EQ(rb.back(), 2);
-  rb.push(3);
-  EXPECT_TRUE(rb.full());
-  rb.push(4);  // evicts 1
-  EXPECT_EQ(rb.front(), 2);
-  EXPECT_EQ(rb.back(), 4);
-  EXPECT_EQ(rb[0], 2);
-  EXPECT_EQ(rb[1], 3);
-  EXPECT_EQ(rb[2], 4);
-}
-
-TEST(RingBuffer, ClearAndRefill) {
-  RingBuffer<int> rb(2);
-  rb.push(1);
-  rb.push(2);
-  rb.clear();
-  EXPECT_TRUE(rb.empty());
-  rb.push(9);
-  EXPECT_EQ(rb.front(), 9);
-}
-
-TEST(RingBuffer, ZeroCapacityThrows) {
-  EXPECT_THROW(RingBuffer<int>(0), std::invalid_argument);
-}
-
-TEST(RingBuffer, WraparoundKeepsFifoOrderAtCapacity) {
-  RingBuffer<int> rb(4);
-  // Push far past capacity: the window must always hold the last 4 values
-  // in arrival order, wherever the physical head happens to sit.
-  for (int i = 0; i < 25; ++i) {
-    rb.push(i);
-    const std::size_t n = rb.size();
-    EXPECT_EQ(n, static_cast<std::size_t>(std::min(i + 1, 4)));
-    for (std::size_t j = 0; j < n; ++j) {
-      EXPECT_EQ(rb[j], i - static_cast<int>(n - 1 - j));
-    }
-    EXPECT_EQ(rb.back(), i);
-  }
-  EXPECT_TRUE(rb.full());
-  EXPECT_EQ(rb.front(), 21);
-}
-
-TEST(RingBuffer, PushOnFullEvictsExactlyOne) {
-  RingBuffer<int> rb(3);
-  rb.push(1);
-  rb.push(2);
-  rb.push(3);
-  ASSERT_TRUE(rb.full());
-  rb.push(4);
-  EXPECT_TRUE(rb.full());
-  EXPECT_EQ(rb.size(), 3u);  // size saturates, never exceeds capacity
-  EXPECT_EQ(rb.front(), 2);
-  EXPECT_EQ(rb.back(), 4);
-}
-
-TEST(RingBuffer, PopFrontReturnsOldest) {
-  RingBuffer<int> rb(3);
-  rb.push(1);
-  rb.push(2);
-  rb.push(3);
-  rb.push(4);  // evicts 1
-  EXPECT_EQ(rb.pop_front(), 2);
-  EXPECT_EQ(rb.pop_front(), 3);
-  EXPECT_EQ(rb.size(), 1u);
-  EXPECT_EQ(rb.front(), 4);
-  EXPECT_EQ(rb.pop_front(), 4);
-  EXPECT_TRUE(rb.empty());
-  EXPECT_THROW(rb.pop_front(), std::logic_error);
-}
-
-TEST(RingBuffer, InterleavedPushPopInvariants) {
-  RingBuffer<int> rb(3);
-  int next_push = 0;
-  int next_pop = 0;
-  // Alternate bursts of pushes and pops so head wraps repeatedly; values
-  // must come out strictly in FIFO order with size/empty/full consistent.
-  for (int round = 0; round < 10; ++round) {
-    for (int i = 0; i < 2; ++i) rb.push(next_push++);
-    next_pop = std::max(next_pop, next_push - 3);  // eviction may skip some
-    while (!rb.empty()) {
-      EXPECT_EQ(rb.size() == 3u, rb.full());
-      EXPECT_EQ(rb.pop_front(), next_pop++);
-    }
-    EXPECT_TRUE(rb.empty());
-    EXPECT_EQ(rb.size(), 0u);
-  }
-}
-
-// Differential test against the unordered_map the ring replaces in a
-// session's in-flight frame table: dense increasing ids, most erased a few
-// ids later in random order, a few kept alive for thousands of ids (so
-// their slots collide with new ids and force growth), plus repeated
-// emplaces and erases of missing ids.
-TEST(IdRing, MatchesUnorderedMapWithLongLivedEntries) {
-  for (unsigned seed : {1u, 7u, 42u}) {
-    std::mt19937 rng(seed);
-    IdRing<std::int64_t> ring;
-    std::unordered_map<std::int64_t, std::int64_t> ref;
-    std::vector<std::int64_t> recent;
-    const auto check = [&](std::int64_t id) {
-      const std::int64_t* got = ring.find(id);
-      const auto it = ref.find(id);
-      ASSERT_EQ(got != nullptr, it != ref.end()) << "id " << id;
-      if (got != nullptr) {
-        EXPECT_EQ(*got, it->second) << "id " << id;
-      }
-    };
-    for (std::int64_t id = 0; id < 6000; ++id) {
-      const std::int64_t value = id * 31 + 7;
-      ring.emplace(id, value);
-      ref.emplace(id, value);
-      ring.emplace(id, -1);  // present: both keep the first value
-      ref.emplace(id, -1);
-      if (rng() % 50 != 0) recent.push_back(id);  // else: long-lived
-      while (recent.size() > 20 || (!recent.empty() && rng() % 3 == 0)) {
-        const std::size_t k = rng() % recent.size();
-        const std::int64_t victim = recent[k];
-        recent.erase(recent.begin() + static_cast<std::ptrdiff_t>(k));
-        EXPECT_EQ(ring.erase(victim), ref.erase(victim) == 1);
-      }
-      const std::int64_t probe =
-          id - static_cast<std::int64_t>(rng() % 4000);
-      check(probe);
-      EXPECT_FALSE(ring.erase(id + 1));  // never inserted yet
-      ASSERT_EQ(ring.size(), ref.size());
-    }
-    EXPECT_GT(ring.capacity(), 4096u) << "long-lived ids forced growth";
-    for (std::int64_t id = 0; id < 6001; ++id) check(id);
-    for (const auto& [id, value] : ref) ASSERT_TRUE(ring.erase(id));
-    EXPECT_EQ(ring.size(), 0u);
-  }
 }
 
 TEST(RunningStats, Moments) {

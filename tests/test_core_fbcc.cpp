@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "poi360/core/fbcc.h"
 
 namespace poi360::core {
@@ -66,6 +68,19 @@ TEST(CongestionDetector, BelowGammaNeverFires) {
   EXPECT_FALSE(detector.on_report(200));
   EXPECT_FALSE(detector.on_report(300));
   EXPECT_FALSE(detector.on_report(400));
+}
+
+// Eq. 3 spans the last k + 1 reports, so a negative k has no meaning; k = 0
+// keeps one report, which can never show an increase.
+TEST(CongestionDetector, RejectsANegativeK) {
+  CongestionDetector::Config config;
+  config.k = -1;
+  EXPECT_THROW(CongestionDetector{config}, std::invalid_argument);
+  config.k = -100;
+  EXPECT_THROW(CongestionDetector{config}, std::invalid_argument);
+  config.k = 0;
+  CongestionDetector detector(config);
+  for (int i = 1; i <= 5; ++i) EXPECT_FALSE(detector.on_report(i * 10'000));
 }
 
 TEST(TbsEstimator, WindowedRate) {

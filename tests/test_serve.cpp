@@ -303,7 +303,7 @@ TEST(SoakDriver, SnapshotWindowRollsDropOldest) {
   // 420s at one snapshot per 20s: far more taken than the window retains.
   EXPECT_EQ(s.snapshots_taken, 21u);
   EXPECT_EQ(s.snapshots_retained, 4u);
-  const RingBuffer<Snapshot>& window = driver.snapshots();
+  const Fifo<Snapshot>& window = driver.snapshots();
   ASSERT_EQ(window.size(), 4u);
   // Drop-oldest: the retained snapshots are the last four, in order.
   EXPECT_EQ(window[0].at, sec(360));
