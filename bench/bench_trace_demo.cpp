@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     const obs::TraceRecorder& trace = *session.trace();
     const std::string label = core::to_string(rc);
     const std::string path = dir + "/demo_" + label + ".trace.json";
-    obs::write_chrome_trace(path, trace, "trace_demo " + label);
+    obs::write_trace(path, trace, "trace_demo " + label);
 
     std::int64_t j_flips = 0, mode_changes = 0, bursts = 0, displays = 0,
                  nacks = 0;

@@ -44,7 +44,6 @@ std::string to_string(NetworkType n);
 /// target multiplicatively, RFC 8083 circuit-breaker style, instead of
 /// streaming at the last pre-blackout estimate into an unknown network.
 struct FeedbackGuardConfig {
-  bool enabled = true;
   /// Feedback gap that triggers the fallback. Feedback rides the frame
   /// clock (~28 ms at 36 FPS), so 600 ms means ~20 consecutive losses —
   /// never reached by ordinary jitter.

@@ -145,7 +145,7 @@ Session::Session(SessionConfig config)
   // recorder is built and every `if (trace_)` below stays a null test —
   // the session consumes the RNG identically either way.
   if (config_.trace.enabled) {
-    trace_ = std::make_unique<obs::TraceRecorder>(config_.trace);
+    trace_ = std::make_unique<obs::TraceRecorder>(config_.trace.capacity);
     obs::TraceRecorder* t = trace_.get();
     adaptive_.set_trace(t);
     if (fbcc_) fbcc_->set_trace(t);
@@ -211,16 +211,14 @@ void Session::start() {
       record_rate_sample(sim_.now(), 0, 0.0, false);
     });
   }
-  if (config_.feedback_guard.enabled) {
-    // Feedback-staleness watchdog: the feedback channel going dark delivers
-    // nothing to hang the decision on (same reasoning as the FBCC watchdog
-    // above), so it runs on its own clock. Draws no randomness and does
-    // nothing while the gap stays under the timeout, which is why clean
-    // runs are unaffected.
-    sim_.schedule_periodic(config_.feedback_guard.check_period,
-                           config_.feedback_guard.check_period,
-                           [this]() { on_feedback_guard_tick(); });
-  }
+  // Feedback-staleness watchdog: the feedback channel going dark delivers
+  // nothing to hang the decision on (same reasoning as the FBCC watchdog
+  // above), so it runs on its own clock. Draws no randomness and does
+  // nothing while the gap stays under the timeout, which is why clean runs
+  // are unaffected.
+  sim_.schedule_periodic(config_.feedback_guard.check_period,
+                         config_.feedback_guard.check_period,
+                         [this]() { on_feedback_guard_tick(); });
 }
 
 void Session::advance_until(SimTime end) {

@@ -79,8 +79,7 @@ void UplinkChannel::schedule_next_outage(SimTime now) {
 Bitrate UplinkChannel::advance(SimTime now) {
   if (config_.capacity_trace && !config_.capacity_trace->empty()) {
     last_advance_ = now;
-    current_capacity_ = config_.capacity_trace->at(now);
-    return current_capacity_;
+    return config_.capacity_trace->at(now);
   }
   const double dt_s =
       last_advance_ < 0 ? 1e-3 : to_seconds(now - last_advance_);
@@ -124,8 +123,7 @@ Bitrate UplinkChannel::advance(SimTime now) {
     cap *= (1.0 - load_);
   }
   if (in_outage_) cap *= config_.outage_depth;
-  current_capacity_ = std::max(cap, 0.0);
-  return current_capacity_;
+  return std::max(cap, 0.0);
 }
 
 }  // namespace poi360::lte

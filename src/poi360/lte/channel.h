@@ -84,8 +84,6 @@ class UplinkChannel {
 
   Bitrate advance(SimTime now);
 
-  /// Last capacity returned by advance().
-  Bitrate current_capacity() const { return current_capacity_; }
   bool in_outage() const { return in_outage_; }
   double current_load() const { return load_; }
   double current_log_fading() const { return log_fading_; }
@@ -125,7 +123,6 @@ class UplinkChannel {
   double outage_rate_per_min_;
 
   SimTime last_advance_ = -1;
-  Bitrate current_capacity_ = 0.0;
 };
 
 }  // namespace poi360::lte

@@ -89,18 +89,12 @@ class SharedCell {
   /// of a lone foreground UE on a private channel.
   double prospective_share(SimTime now);
 
-  /// Total committed backlogged weight of registered UEs.
-  double backlogged_weight() const { return sched_weight_; }
-
   /// Background users active at the frontier.
   int active_background() const;
 
   /// Drops background-timeline segments strictly before `t` (the segment
   /// covering `t` survives). Call at quantum boundaries to bound memory.
   void trim(SimTime t);
-
-  /// Furthest time the background process has been advanced to.
-  SimTime frontier() const { return frontier_; }
 
   const Config& config() const { return config_; }
 

@@ -67,11 +67,6 @@ struct ChaosConfig {
   SimDuration spike_duration = msec(800);
 
   bool burst_enabled() const { return ge_p_good_bad > 0.0; }
-  bool any_enabled() const {
-    return burst_enabled() || ge_loss_good > 0.0 || reorder_prob > 0.0 ||
-           duplicate_prob > 0.0 || blackout_per_min > 0.0 ||
-           spike_per_min > 0.0;
-  }
 };
 
 /// Delivery statistics of one chaos segment, for tests and benches.
@@ -183,7 +178,6 @@ class ChaosLink {
 
   std::int64_t dropped() const { return stats_.dropped(); }
   const ChaosStats& stats() const { return stats_; }
-  const ChaosConfig& chaos_config() const { return chaos_; }
 
   /// Fault-injection tracing: window openings (blackout/spike) and burst-
   /// state flips become instants under the given category (one category per

@@ -4,7 +4,7 @@
 #include <cstdint>
 
 // Deterministic budget-based trace sampling. Fleet runs hold thousands of
-// sessions; keeping a TraceRecorder ring per session would multiply memory
+// sessions; keeping a TraceRecorder per session would multiply memory
 // by orders of magnitude. The sampler makes a pure per-session keep/drop
 // decision from the session's derived seed (callers pass
 // `runner::derive_seed(run_seed, session_id)` xor'd with kTraceSampleSalt so
@@ -24,7 +24,7 @@ struct TraceSampleConfig {
   double keep_fraction = 1.0;
   /// Maximum concurrently live sampled recorders; <= 0 means unlimited.
   int max_concurrent = 16;
-  /// Ring capacity for each sampled session's recorder.
+  /// Event bound of each sampled session's recorder.
   std::size_t ring_capacity = 1 << 14;
 };
 

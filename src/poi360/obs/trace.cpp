@@ -4,49 +4,28 @@
 
 namespace poi360::obs {
 
-TraceRecorder::TraceRecorder(TraceConfig config)
-    : enabled_(config.enabled),
-      capacity_(std::max<std::size_t>(config.capacity, 1)),
-      slots_(capacity_) {}
+TraceRecorder::TraceRecorder(std::size_t capacity)
+    : capacity_(std::max<std::size_t>(capacity, 1)) {}
 
 void TraceRecorder::record(Phase phase, SimTime t, const char* category,
                            const char* name, std::int64_t id,
                            std::initializer_list<TraceArg> args) {
-  const std::uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t gen = ticket / capacity_ + 1;
-  Slot& slot = slots_[ticket % capacity_];
-  // When the ring laps itself, the writer reusing a slot must wait for the
-  // previous generation's writer to retire its payload; that writer is one
-  // full ring ahead in admission order, so the wait is vanishingly rare and
-  // bounded by a single event write.
-  while (slot.stamp.load(std::memory_order_acquire) != gen - 1) {
-  }
-  TraceEvent& e = slot.event;
+  TraceEvent e;
   e.time = t;
-  e.seq = ticket;
+  e.seq = recorded_++;
   e.category = category;
   e.name = name;
   e.id = id;
   e.phase = phase;
   e.n_args = static_cast<std::uint8_t>(
       std::min<std::size_t>(args.size(), TraceEvent::kMaxArgs));
-  auto it = args.begin();
-  for (int i = 0; i < e.n_args; ++i, ++it) e.args[i] = *it;
-  slot.stamp.store(gen, std::memory_order_release);
+  std::copy_n(args.begin(), e.n_args, e.args);
+  if (events_.size() == capacity_) events_.pop_front();
+  events_.push_back(e);
 }
 
 std::vector<TraceEvent> TraceRecorder::snapshot() const {
-  const std::uint64_t head = head_.load(std::memory_order_acquire);
-  const std::uint64_t count = std::min<std::uint64_t>(head, capacity_);
-  std::vector<TraceEvent> out;
-  out.reserve(count);
-  for (std::uint64_t ticket = head - count; ticket < head; ++ticket) {
-    const Slot& slot = slots_[ticket % capacity_];
-    if (slot.stamp.load(std::memory_order_acquire) == ticket / capacity_ + 1) {
-      out.push_back(slot.event);
-    }
-  }
-  return out;
+  return {events_.begin(), events_.end()};
 }
 
 }  // namespace poi360::obs

@@ -1,17 +1,17 @@
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <vector>
 
+#include "poi360/common/fifo.h"
 #include "poi360/common/time.h"
 
-// Trace layer: typed spans and instant events in a preallocated lock-free
-// ring. Components hold a raw `TraceRecorder*` that is nullptr when tracing
-// is off, so the disabled hot path is a single pointer test — no virtual
-// call, no branch into this header's machinery, no allocation ever.
+// Trace layer: typed spans and instant events in a bounded FIFO. Components
+// hold a raw `TraceRecorder*` that is nullptr when tracing is off, so the
+// disabled hot path is a single pointer test — no virtual call, no branch
+// into this header's machinery, no allocation ever.
 //
 // Event names and categories must be string literals (or otherwise outlive
 // the recorder): only the pointer is stored. Arguments are fixed-size
@@ -34,7 +34,7 @@ struct TraceEvent {
   static constexpr int kMaxArgs = 4;
 
   SimTime time = 0;
-  std::uint64_t seq = 0;    ///< global admission order (ring ticket)
+  std::uint64_t seq = 0;    ///< admission order, counted from 0
   const char* category = nullptr;
   const char* name = nullptr;
   std::int64_t id = -1;     ///< span correlation key (frame_id), -1 = none
@@ -44,75 +44,51 @@ struct TraceEvent {
 };
 
 struct TraceConfig {
+  /// The session builds a recorder only when set.
   bool enabled = false;
-  /// Ring capacity in events; oldest events are overwritten when full.
+  /// Recorder bound in events; the oldest events are dropped past it.
   std::size_t capacity = 1 << 16;
 };
 
-/// Bounded multi-producer event ring with drop-oldest overflow.
-///
-/// Writers claim a monotonically increasing ticket; slot index is
-/// `ticket % capacity` and the slot's generation stamp (`ticket / capacity
-/// + 1`) is published with release order after the payload is written, so a
-/// concurrent writer that laps the ring waits for the previous generation's
-/// write to retire before overwriting. `snapshot()` is only meaningful when
-/// all writers are quiescent (the simulator has returned), which is how
-/// every exporter uses it.
+/// Bounded event FIFO with drop-oldest overflow. A recorder has one writer:
+/// the thread that runs its session. Read it once that thread is done.
 class TraceRecorder {
  public:
-  explicit TraceRecorder(TraceConfig config);
-  TraceRecorder() : TraceRecorder(TraceConfig{.enabled = true}) {}
+  /// `capacity` is clamped to at least 1.
+  explicit TraceRecorder(std::size_t capacity = TraceConfig{}.capacity);
 
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-  bool enabled() const { return enabled_; }
-  std::size_t capacity() const { return capacity_; }
-
   void span_begin(SimTime t, const char* category, const char* name,
                   std::int64_t id, std::initializer_list<TraceArg> args = {}) {
-    if (!enabled_) return;
     record(Phase::kSpanBegin, t, category, name, id, args);
   }
   void span_end(SimTime t, const char* category, const char* name,
                 std::int64_t id, std::initializer_list<TraceArg> args = {}) {
-    if (!enabled_) return;
     record(Phase::kSpanEnd, t, category, name, id, args);
   }
   void instant(SimTime t, const char* category, const char* name,
                std::initializer_list<TraceArg> args = {},
                std::int64_t id = -1) {
-    if (!enabled_) return;
     record(Phase::kInstant, t, category, name, id, args);
   }
 
-  /// Events ever admitted (including those later overwritten).
-  std::uint64_t recorded() const {
-    return head_.load(std::memory_order_relaxed);
-  }
-  /// Events lost to drop-oldest overwriting.
-  std::uint64_t dropped() const {
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    return head > capacity_ ? head - capacity_ : 0;
-  }
+  /// Events ever recorded (including those later dropped).
+  std::uint64_t recorded() const { return recorded_; }
+  /// Events dropped at the bound.
+  std::uint64_t dropped() const { return recorded_ - events_.size(); }
 
-  /// Retained events, oldest first. Call only when writers are quiescent.
+  /// Retained events, oldest first.
   std::vector<TraceEvent> snapshot() const;
 
  private:
-  struct Slot {
-    /// Generation of the last completed write; 0 = never written.
-    std::atomic<std::uint64_t> stamp{0};
-    TraceEvent event{};
-  };
-
   void record(Phase phase, SimTime t, const char* category, const char* name,
               std::int64_t id, std::initializer_list<TraceArg> args);
 
-  bool enabled_;
   std::size_t capacity_;
-  std::vector<Slot> slots_;
-  std::atomic<std::uint64_t> head_{0};
+  Fifo<TraceEvent> events_;
+  std::uint64_t recorded_ = 0;
 };
 
 }  // namespace poi360::obs

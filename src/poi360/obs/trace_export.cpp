@@ -118,12 +118,6 @@ std::string to_chrome_trace(const std::vector<TraceEvent>& events,
   return out;
 }
 
-std::string to_chrome_trace(const TraceRecorder& recorder,
-                            const std::string& process_name) {
-  return to_chrome_trace(recorder.snapshot(), process_name,
-                         recorder.dropped());
-}
-
 std::string trace_csv_header() {
   return "seq,time_us,phase,category,name,id,args";
 }
@@ -154,18 +148,13 @@ std::string to_trace_csv(const std::vector<TraceEvent>& events) {
   return out;
 }
 
-std::string to_trace_csv(const TraceRecorder& recorder) {
-  return to_trace_csv(recorder.snapshot());
-}
-
-void write_chrome_trace(const std::string& path,
-                        const TraceRecorder& recorder,
-                        const std::string& process_name) {
-  write_file(path, to_chrome_trace(recorder, process_name));
-}
-
-void write_trace_csv(const std::string& path, const TraceRecorder& recorder) {
-  write_file(path, to_trace_csv(recorder));
+void write_trace(const std::string& path, const TraceRecorder& recorder,
+                 const std::string& process_name) {
+  const bool csv =
+      path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
+  write_file(path, csv ? to_trace_csv(recorder.snapshot())
+                       : to_chrome_trace(recorder.snapshot(), process_name,
+                                         recorder.dropped()));
 }
 
 }  // namespace poi360::obs

@@ -21,17 +21,16 @@ namespace poi360::obs {
 std::string to_chrome_trace(const std::vector<TraceEvent>& events,
                             const std::string& process_name,
                             std::uint64_t dropped = 0);
-std::string to_chrome_trace(const TraceRecorder& recorder,
-                            const std::string& process_name);
 
 std::string to_trace_csv(const std::vector<TraceEvent>& events);
-std::string to_trace_csv(const TraceRecorder& recorder);
 
 /// Header matching to_trace_csv rows.
 std::string trace_csv_header();
 
-void write_chrome_trace(const std::string& path, const TraceRecorder& recorder,
-                        const std::string& process_name);
-void write_trace_csv(const std::string& path, const TraceRecorder& recorder);
+/// Writes the recorder's events to `path`, dispatching on the extension:
+/// ".csv" writes the event CSV, anything else the Chrome trace_event JSON
+/// labelled `process_name`. Throws std::runtime_error on I/O failure.
+void write_trace(const std::string& path, const TraceRecorder& recorder,
+                 const std::string& process_name);
 
 }  // namespace poi360::obs

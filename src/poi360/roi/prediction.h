@@ -43,7 +43,6 @@ class RoiPredictor {
 
   /// Fitted angular velocities (deg/s), for diagnostics and tests.
   double yaw_velocity() const { return yaw_velocity_; }
-  double pitch_velocity() const { return pitch_velocity_; }
 
  private:
   void refit();

@@ -59,7 +59,6 @@ void RtpReceiver::detect_gaps(std::int64_t seq, SimTime now) {
       ++recovery_.nack_evictions;
     }
     if (nack_sink_ && !missing.empty()) {
-      nacks_sent_ += static_cast<std::int64_t>(missing.size());
       if (trace_) {
         trace_->instant(now, "recovery", "rtp.nack",
                         {{"seqs", static_cast<double>(missing.size())},
@@ -267,7 +266,6 @@ void RtpReceiver::on_nack_retry() {
                     {{"seqs", static_cast<double>(give_ups)}});
   }
   if (missing.empty()) return;
-  nacks_sent_ += static_cast<std::int64_t>(missing.size());
   if (trace_) {
     trace_->instant(now, "recovery", "rtp.nack_retry",
                     {{"seqs", static_cast<double>(missing.size())}});

@@ -114,7 +114,6 @@ class RtpReceiver {
 
   std::int64_t total_media_bytes() const { return total_bytes_; }
   std::int64_t frames_completed() const { return frames_completed_; }
-  std::int64_t nacks_sent() const { return nacks_sent_; }
 
   const RecoveryStats& recovery_stats() const { return recovery_; }
   std::size_t assemblies() const { return open_; }
@@ -196,7 +195,6 @@ class RtpReceiver {
 
   std::int64_t total_bytes_ = 0;
   std::int64_t frames_completed_ = 0;
-  std::int64_t nacks_sent_ = 0;
   RecoveryStats recovery_;
   obs::TraceRecorder* trace_ = nullptr;
 };

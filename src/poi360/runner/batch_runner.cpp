@@ -9,7 +9,7 @@
 #include <thread>
 
 #include "poi360/core/session.h"
-#include "poi360/runner/result_io.h"
+#include "poi360/obs/trace_export.h"
 
 namespace poi360::runner {
 
@@ -71,7 +71,7 @@ RunResult execute_run(const RunSpec& spec) {
     out.metrics = session.metrics();
     out.metrics.set_run_id(spec.run_id);
     if (!spec.trace_path.empty() && session.trace()) {
-      write_trace(spec.trace_path, *session.trace(), spec.label());
+      obs::write_trace(spec.trace_path, *session.trace(), spec.label());
     }
     out.ok = true;
   } catch (const std::exception& e) {

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "poi360/common/units.h"
-#include "poi360/obs/trace_export.h"
 
 namespace poi360::runner {
 
@@ -163,17 +162,6 @@ void write_csv(const std::string& path, const BatchResult& batch) {
 
 void write_json(const std::string& path, const BatchResult& batch) {
   write_file(path, to_json(batch));
-}
-
-void write_trace(const std::string& path, const obs::TraceRecorder& recorder,
-                 const std::string& process_name) {
-  const bool csv =
-      path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  if (csv) {
-    obs::write_trace_csv(path, recorder);
-  } else {
-    obs::write_chrome_trace(path, recorder, process_name);
-  }
 }
 
 }  // namespace poi360::runner

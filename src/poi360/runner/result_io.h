@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "poi360/obs/trace.h"
 #include "poi360/runner/batch_runner.h"
 
 // Structured result emitters: one summary row per run (identity, axis
@@ -21,11 +20,5 @@ std::string to_json(const BatchResult& batch);
 /// File convenience wrappers; throw std::runtime_error on I/O failure.
 void write_csv(const std::string& path, const BatchResult& batch);
 void write_json(const std::string& path, const BatchResult& batch);
-
-/// Writes one run's recorded trace, dispatching on the extension: ".csv"
-/// emits the flat event CSV, anything else the Chrome trace_event JSON
-/// (Perfetto-loadable). `process_name` labels the trace (RunSpec::label()).
-void write_trace(const std::string& path, const obs::TraceRecorder& recorder,
-                 const std::string& process_name);
 
 }  // namespace poi360::runner

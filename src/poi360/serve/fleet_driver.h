@@ -165,7 +165,6 @@ class FleetCell {
   std::vector<FleetSessionResult> results() const;
   lte::SharedCell& shared_cell() { return cell_; }
   int sessions() const { return static_cast<int>(slots_.size()); }
-  const obs::MetricsRegistry& telemetry_registry() const { return telemetry_; }
   const obs::TraceSampler& trace_sampler() const { return sampler_; }
 
  private:

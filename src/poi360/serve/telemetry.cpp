@@ -1,6 +1,6 @@
 #include "poi360/serve/telemetry.h"
 
-#include "poi360/runner/result_io.h"
+#include "poi360/obs/trace_export.h"
 
 namespace poi360::serve {
 
@@ -68,8 +68,7 @@ void write_session_trace(const std::string& dir, const runner::RunSpec& spec,
                          const core::Session& session,
                          const std::string& label) {
   if (const obs::TraceRecorder* trace = session.trace()) {
-    runner::write_trace(dir + "/" + runner::trace_file_name(spec), *trace,
-                        label);
+    obs::write_trace(dir + "/" + runner::trace_file_name(spec), *trace, label);
   }
 }
 

@@ -58,7 +58,6 @@ class TelemetryPlane {
   ~TelemetryPlane();
 
   const TelemetryConfig& config() const { return config_; }
-  bool http_enabled() const { return server_ != nullptr; }
   /// Actual bound port, or -1 when no server is running.
   int metrics_port() const { return server_ ? server_->port() : -1; }
   std::int64_t scrapes_served() const {

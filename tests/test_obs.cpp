@@ -1,9 +1,11 @@
-// Observability suite: the lock-free TraceRecorder ring (ordering,
-// drop-oldest overflow, disabled no-op, concurrent writers — the tsan_gate
-// runs this binary under -fsanitize=thread), the metrics registry, the
-// Chrome-trace/CSV exporters (golden strings + file round-trip), and the
-// session/runner integration (frame-lifecycle chain, FBCC J events,
-// per-run trace paths).
+// Observability suite: the TraceRecorder (ordering, drop-oldest overflow
+// at the bound, argument clamping), the metrics registry, the
+// Chrome-trace/CSV exporters (golden strings + file round-trip through
+// obs::write_trace), the MetricsHttpServer scrapes, and the session/runner
+// integration (frame-lifecycle chain, FBCC J events, per-run trace paths
+// written by two BatchRunner workers). The tsan_gate runs this binary under
+// -fsanitize=thread for the server's accept thread and the runner's
+// workers.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -36,7 +39,6 @@
 #include "poi360/obs/trace_export.h"
 #include "poi360/runner/batch_runner.h"
 #include "poi360/runner/experiment_spec.h"
-#include "poi360/runner/result_io.h"
 
 using namespace poi360;
 
@@ -98,31 +100,32 @@ TEST(TraceRecorder, SpanNestingAndOrdering) {
   EXPECT_STREQ(events[4].name, "encode");
 }
 
+// Past its bound the recorder drops the oldest events: it keeps the last
+// `capacity` in order and counts the rest. Capacity 5 leaves spare FIFO
+// slots past the bound; capacity 0 is clamped to 1.
 TEST(TraceRecorder, OverflowDropsOldest) {
-  obs::TraceRecorder rec(obs::TraceConfig{.enabled = true, .capacity = 8});
-  for (int i = 0; i < 20; ++i) {
-    rec.instant(i, "cat", "tick", {{"i", static_cast<double>(i)}});
+  constexpr int kEvents = 20;
+  for (const std::size_t capacity : {0u, 1u, 5u, 8u}) {
+    SCOPED_TRACE(capacity);
+    const std::size_t kept = std::max<std::size_t>(capacity, 1);
+    obs::TraceRecorder rec(capacity);
+    for (int i = 0; i < kEvents; ++i) {
+      rec.instant(i, "cat", "tick", {{"i", static_cast<double>(i)}});
+    }
+    EXPECT_EQ(rec.recorded(), static_cast<std::uint64_t>(kEvents));
+    EXPECT_EQ(rec.dropped(), kEvents - kept);
+    const auto events = rec.snapshot();
+    ASSERT_EQ(events.size(), kept);
+    // Oldest retained first: sequences kEvents - kept .. kEvents - 1.
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      const std::size_t seq = kEvents - kept + i;
+      EXPECT_EQ(events[i].seq, seq);
+      EXPECT_EQ(events[i].time, static_cast<SimTime>(seq));
+      ASSERT_EQ(events[i].n_args, 1);
+      EXPECT_STREQ(events[i].args[0].key, "i");
+      EXPECT_EQ(events[i].args[0].value, static_cast<double>(seq));
+    }
   }
-  EXPECT_EQ(rec.recorded(), 20u);
-  EXPECT_EQ(rec.dropped(), 12u);
-  const auto events = rec.snapshot();
-  ASSERT_EQ(events.size(), 8u);
-  // Oldest retained first: sequences 12..19.
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].seq, 12 + i);
-    EXPECT_EQ(events[i].args[0].value, static_cast<double>(12 + i));
-  }
-}
-
-TEST(TraceRecorder, DisabledRecordsNothing) {
-  obs::TraceRecorder rec(obs::TraceConfig{.enabled = false, .capacity = 8});
-  rec.span_begin(1, "frame", "encode", 1);
-  rec.span_end(2, "frame", "encode", 1);
-  rec.instant(3, "control", "x");
-  EXPECT_FALSE(rec.enabled());
-  EXPECT_EQ(rec.recorded(), 0u);
-  EXPECT_EQ(rec.dropped(), 0u);
-  EXPECT_TRUE(rec.snapshot().empty());
 }
 
 TEST(TraceRecorder, ArgsClampToMax) {
@@ -133,46 +136,6 @@ TEST(TraceRecorder, ArgsClampToMax) {
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].n_args, obs::TraceEvent::kMaxArgs);
   EXPECT_STREQ(events[0].args[3].key, "d");
-}
-
-// The ring's concurrency contract under contention: every admission is
-// counted, overflow is exact, and after quiescence every retained slot
-// holds a fully published event. The tsan_gate runs this under TSan.
-TEST(TraceRecorder, ConcurrentWritersWithOverflow) {
-  constexpr std::size_t kCapacity = 64;
-  constexpr int kThreads = 4;
-  constexpr int kEach = 20000;
-  obs::TraceRecorder rec(
-      obs::TraceConfig{.enabled = true, .capacity = kCapacity});
-  std::vector<std::thread> writers;
-  writers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&rec, t] {
-      for (int i = 0; i < kEach; ++i) {
-        rec.span_begin(i, "cat", "work", t * kEach + i,
-                       {{"i", static_cast<double>(i)}});
-      }
-    });
-  }
-  for (std::thread& w : writers) w.join();
-
-  EXPECT_EQ(rec.recorded(), static_cast<std::uint64_t>(kThreads) * kEach);
-  EXPECT_EQ(rec.dropped(),
-            static_cast<std::uint64_t>(kThreads) * kEach - kCapacity);
-  const auto events = rec.snapshot();
-  ASSERT_EQ(events.size(), kCapacity);
-  std::uint64_t prev_seq = 0;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    // Payloads are internally consistent — no torn writes.
-    EXPECT_STREQ(events[i].category, "cat");
-    EXPECT_STREQ(events[i].name, "work");
-    ASSERT_EQ(events[i].n_args, 1);
-    EXPECT_STREQ(events[i].args[0].key, "i");
-    if (i > 0) {
-      EXPECT_GT(events[i].seq, prev_seq);
-    }
-    prev_seq = events[i].seq;
-  }
 }
 
 // ------------------------------------------------------------ registry --
@@ -265,26 +228,25 @@ TEST(TraceExport, CsvGolden) {
   EXPECT_EQ(obs::to_trace_csv(golden_events()), expected);
 }
 
+// obs::write_trace dispatches on the extension: ".csv" writes the event
+// CSV, anything else the Chrome trace JSON with the recorder's drop count.
 TEST(TraceExport, FileRoundTrip) {
-  obs::TraceRecorder rec;
+  obs::TraceRecorder rec(2);
+  rec.instant(5, "control", "dropped");
   rec.span_begin(10, "frame", "encode", 1, {{"bytes", 1234.0}});
   rec.span_end(20, "frame", "encode", 1);
 
   const std::string json_path = scratch_path("obs_roundtrip.json");
   const std::string csv_path = scratch_path("obs_roundtrip.csv");
-  obs::write_chrome_trace(json_path, rec, "roundtrip");
-  obs::write_trace_csv(csv_path, rec);
+  obs::write_trace(json_path, rec, "roundtrip");
+  obs::write_trace(csv_path, rec, "roundtrip");
 
-  EXPECT_EQ(read_file(json_path), obs::to_chrome_trace(rec, "roundtrip"));
-  EXPECT_EQ(read_file(csv_path), obs::to_trace_csv(rec));
-
-  // runner::write_trace dispatches on the extension.
-  const std::string via_runner_csv = scratch_path("obs_runner.csv");
-  const std::string via_runner_json = scratch_path("obs_runner.json");
-  runner::write_trace(via_runner_csv, rec, "roundtrip");
-  runner::write_trace(via_runner_json, rec, "roundtrip");
-  EXPECT_EQ(read_file(via_runner_csv), obs::to_trace_csv(rec));
-  EXPECT_EQ(read_file(via_runner_json), obs::to_chrome_trace(rec, "roundtrip"));
+  EXPECT_EQ(read_file(json_path),
+            obs::to_chrome_trace(rec.snapshot(), "roundtrip", 1));
+  EXPECT_EQ(read_file(csv_path), obs::to_trace_csv(rec.snapshot()));
+  EXPECT_NE(read_file(json_path).find("\"dropped_events\":1"),
+            std::string::npos);
+  EXPECT_EQ(read_file(csv_path).rfind("seq,time_us,", 0), 0u);
 }
 
 // ------------------------------------------------- session integration --
