@@ -16,6 +16,7 @@
 #include "poi360/core/adaptive_compression.h"
 #include "poi360/core/fbcc.h"
 #include "poi360/core/mismatch.h"
+#include "poi360/core/session.h"
 #include "poi360/gcc/trendline.h"
 #include "poi360/lte/shared_cell.h"
 #include "poi360/lte/uplink.h"
@@ -399,20 +400,41 @@ static void BM_RngEngineDraw(benchmark::State& state) {
 }
 BENCHMARK(BM_RngEngineDraw);
 
+// One paper-config cellular session constructed and started (its periodic
+// streams scheduled): what every batch run, fleet slot and soak arrival
+// pays once before its first event. After the first iteration the process
+// holds the configuration's shared compression-mode tables, so this is the
+// warm-process build.
+static void BM_SessionBuild(benchmark::State& state) {
+  const core::SessionConfig config;
+  for (auto _ : state) {
+    core::Session session(config);
+    session.start();
+    benchmark::DoNotOptimize(session.now());
+  }
+}
+BENCHMARK(BM_SessionBuild);
+
 // One sent packet recorded in a full 8192-slot retransmission history: the
-// new seq overwrites slot `seq mod 8192`, which held the seq sent 8192
-// packets before it. Every packet the pacer releases pays this once. The
-// packets come from a prebuilt ring of 4096 consecutive seqs, each moved
-// on by 4096 once inserted, so it is read again 4096 inserts after that
-// store; bumping one packet's seq right before each insert would price the
-// loop's own store-to-load forwarding instead of the cache.
+// new seq overwrites slot `seq mod 8192` (48 bytes: the seq, the fields a
+// retransmission re-sends and the retransmission word), which held the seq
+// sent 8192 packets before it. Every packet the pacer releases pays this
+// once. The packets come from a prebuilt ring of 4096 consecutive seqs
+// (8-fragment frames), each moved on by 4096 once inserted, so it is read
+// again 4096 inserts after that store; bumping one packet's seq right
+// before each insert would price the loop's own store-to-load forwarding
+// instead of the cache.
 static void BM_SentPacketCacheInsert(benchmark::State& state) {
   constexpr std::int64_t kBatch = 4096;
   rtp::SentPacketCache cache;
   std::vector<rtp::RtpPacket> packets(kBatch);
   for (std::int64_t i = 0; i < kBatch; ++i) {
     packets[i].seq = i;
+    packets[i].frame_id = i / 8;
+    packets[i].fragment = static_cast<int>(i % 8);
+    packets[i].fragments = 8;
     packets[i].bytes = 1200;
+    packets[i].capture_time = msec(28) * (i / 8);
   }
   std::size_t next = 0;
   auto insert_next = [&] {

@@ -19,10 +19,14 @@ class ConduitMode : public video::CompressionMode {
   explicit ConduitMode(int fov_radius_tiles = 1, double non_roi_level = 256.0);
 
   /// Pure in (dx, dy): evaluated once per distinct distance when the
-  /// session's ModeMatrixCache builds this mode's level LUT (keyed by
-  /// kModeId); per-frame paths never call it.
+  /// process's ModeTables build this mode's level LUT (keyed by kModeId and
+  /// params()); per-frame paths never call it.
   double level(int dx, int dy) const override;
   std::string name() const override { return "conduit"; }
+  video::ModeParams params() const override {
+    return {video::ModeFamily::kConduit, static_cast<double>(fov_radius_),
+            non_roi_level_};
+  }
 
   /// Scheme id embedded in frame headers.
   static constexpr int kModeId = 101;

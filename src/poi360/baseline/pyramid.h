@@ -17,10 +17,13 @@ class PyramidMode : public video::CompressionMode {
   explicit PyramidMode(double c = 1.3, double max_level = 64.0);
 
   /// Pure in (dx, dy): evaluated once per distinct distance when the
-  /// session's ModeMatrixCache builds this mode's level LUT (keyed by
-  /// kModeId); per-frame paths never call it.
+  /// process's ModeTables build this mode's level LUT (keyed by kModeId and
+  /// params()); per-frame paths never call it.
   double level(int dx, int dy) const override;
   std::string name() const override { return "pyramid"; }
+  video::ModeParams params() const override {
+    return {video::ModeFamily::kPyramid, c_, max_level_};
+  }
 
   static constexpr int kModeId = 102;
 

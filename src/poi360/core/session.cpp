@@ -10,19 +10,36 @@ namespace {
 constexpr SimDuration kThroughputSamplePeriod = sec(1);
 constexpr SimDuration kRetxDedupWindow = msec(150);
 constexpr SimDuration kFbccWatchdogPeriod = msec(20);
+
+/// The process-wide mode tables of `config`: the adaptive table's modes
+/// 1..K plus both baselines, keyed by mode id.
+std::shared_ptr<const video::ModeTables> mode_tables_for(
+    const SessionConfig& config, const video::TileGrid& grid,
+    const video::ModeTable& table) {
+  const baseline::ConduitMode conduit(config.conduit_fov_radius,
+                                      config.conduit_non_roi_level);
+  const baseline::PyramidMode pyramid(config.pyramid_c,
+                                      config.baseline_max_level);
+  std::vector<video::ModeTables::ModeSpec> modes;
+  modes.reserve(static_cast<std::size_t>(table.size()) + 2);
+  for (int m = 1; m <= table.size(); ++m) modes.push_back({m, &table.mode(m)});
+  modes.push_back({baseline::ConduitMode::kModeId, &conduit});
+  modes.push_back({baseline::PyramidMode::kModeId, &pyramid});
+  return video::ModeTables::shared_for(
+      grid, config.quality, {config.encoder.floor_bpp, config.encoder.fps},
+      modes);
+}
 }  // namespace
 
 Session::Session(SessionConfig config)
     : config_(config),
       grid_(config.grid_cols, config.grid_rows, config.frame_width_px,
             config.frame_height_px),
-      matrix_cache_(grid_),
       rng_(config.seed),
       encoder_(grid_, config.encoder),
       packetizer_(),
       adaptive_(config.adaptive),
-      conduit_(config.conduit_fov_radius, config.conduit_non_roi_level),
-      pyramid_(config.pyramid_c, config.baseline_max_level),
+      matrix_cache_(mode_tables_for(config, grid_, adaptive_.table())),
       gcc_sender_(config.initial_rate, config.gcc_loss),
       sender_roi_{config.grid_cols / 2, config.grid_rows / 2},
       roi_predictor_(config.roi_predictor),
@@ -45,28 +62,14 @@ Session::Session(SessionConfig config)
         "FBCC requires the cellular network: it reads modem diagnostics");
   }
 
-  // One matrix cache serves every per-frame compression lookup: the adaptive
-  // table's K modes plus both baselines, keyed by mode id.
-  for (int m = 1; m <= config_.adaptive.num_modes; ++m) {
-    matrix_cache_.add_mode(m, adaptive_.table().mode(m));
-  }
-  matrix_cache_.add_mode(baseline::ConduitMode::kModeId, conduit_);
-  matrix_cache_.add_mode(baseline::PyramidMode::kModeId, pyramid_);
-
-  // Per-mode quality-floor bitrates for the adaptive controller: the least
-  // bits each mode's surviving pixels can cost at the encoder's maximum
-  // quantizer (evaluated with the ROI on the equator; the row position only
-  // changes the clamped pitch distances marginally). The matrices come out
-  // of the cache, which the capture path reuses for the same (mode, ROI).
+  // Per-mode quality-floor bitrates for the adaptive controller, from the
+  // shared mode tables (see ModeTables::floor_rate).
   {
     std::vector<Bitrate> floors(
         static_cast<std::size_t>(config_.adaptive.num_modes) + 1, 0.0);
-    const video::TileIndex center{grid_.cols() / 2, grid_.rows() / 2};
     for (int m = 1; m <= config_.adaptive.num_modes; ++m) {
       floors[static_cast<std::size_t>(m)] =
-          config_.encoder.floor_bpp *
-          matrix_cache_.matrix(m, center)->effective_tiles() *
-          static_cast<double>(grid_.tile_pixels()) * config_.encoder.fps;
+          matrix_cache_.tables()->floor_rate(m);
     }
     adaptive_.set_mode_floor_rates(std::move(floors));
   }

@@ -179,9 +179,6 @@ class Session {
 
   SessionConfig config_;
   video::TileGrid grid_;
-  // Memoized (mode, ROI) compression matrices shared by every per-frame
-  // lookup — adaptive modes 1..K plus both baselines (see compression.h).
-  video::ModeMatrixCache matrix_cache_;
   sim::Simulator sim_;
   Rng rng_;
 
@@ -191,8 +188,10 @@ class Session {
   rtp::SentPacketCache sent_cache_;
   std::unique_ptr<rtp::Pacer<PacedSink>> pacer_;
   AdaptiveCompressionController adaptive_;
-  baseline::ConduitMode conduit_;
-  baseline::PyramidMode pyramid_;
+  // Memoized (mode, ROI) compression matrices shared by every per-frame
+  // lookup — adaptive modes 1..K plus both baselines — over the process's
+  // shared ModeTables for this configuration (see compression.h).
+  video::ModeMatrixCache matrix_cache_;
   gcc::GccSender gcc_sender_;
   std::unique_ptr<FbccController> fbcc_;
   video::TileIndex sender_roi_;

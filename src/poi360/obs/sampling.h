@@ -25,7 +25,7 @@ struct TraceSampleConfig {
   /// Maximum concurrently live sampled recorders; <= 0 means unlimited.
   int max_concurrent = 16;
   /// Event bound of each sampled session's recorder.
-  std::size_t ring_capacity = 1 << 14;
+  std::size_t event_capacity = 1 << 14;
 };
 
 /// SplitMix64 finalizer — the same mixer Rng::fork uses; full-avalanche, so

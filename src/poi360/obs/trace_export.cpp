@@ -53,6 +53,11 @@ void write_file(const std::string& path, const std::string& body) {
   if (!out) throw std::runtime_error("write failed: " + path);
 }
 
+// Header matching to_trace_csv rows.
+std::string trace_csv_header() {
+  return "seq,time_us,phase,category,name,id,args";
+}
+
 }  // namespace
 
 std::string to_chrome_trace(const std::vector<TraceEvent>& events,
@@ -116,10 +121,6 @@ std::string to_chrome_trace(const std::vector<TraceEvent>& events,
   if (!body.empty()) out += ",\n" + body;
   out += "\n]}\n";
   return out;
-}
-
-std::string trace_csv_header() {
-  return "seq,time_us,phase,category,name,id,args";
 }
 
 std::string to_trace_csv(const std::vector<TraceEvent>& events) {

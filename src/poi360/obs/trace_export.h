@@ -24,9 +24,6 @@ std::string to_chrome_trace(const std::vector<TraceEvent>& events,
 
 std::string to_trace_csv(const std::vector<TraceEvent>& events);
 
-/// Header matching to_trace_csv rows.
-std::string trace_csv_header();
-
 /// Writes the recorder's events to `path`, dispatching on the extension:
 /// ".csv" writes the event CSV, anything else the Chrome trace_event JSON
 /// labelled `process_name`. Throws std::runtime_error on I/O failure.

@@ -16,9 +16,11 @@ namespace poi360::rtp {
 /// its residue mod `capacity`. RTP seqs are dense and increasing, so that
 /// is the last `capacity` seqs sent.
 ///
-/// Each entry also records the retransmission state of its seq: when it
-/// was last queued for retransmission, and whether that copy still waits
-/// in the pacer. A new (or taken-over) entry starts with neither.
+/// Each entry holds what a retransmission re-sends — the packet's frame,
+/// fragment, size and capture time; its seq is the entry's id — and the
+/// retransmission state of its seq: when it was last queued for
+/// retransmission, and whether that copy still waits in the pacer. A new
+/// (or taken-over) entry starts with neither. A slot is 48 bytes.
 class SentPacketCache {
  public:
   /// `capacity` must be a power of two.
@@ -29,7 +31,11 @@ class SentPacketCache {
   /// is unchanged.
   void insert(const RtpPacket& packet) {
     Entry& entry = *sent_.try_emplace(packet.seq).first;
-    entry.packet = packet;
+    entry.frame_id = packet.frame_id;
+    entry.capture_time = packet.capture_time;
+    entry.bytes = packet.bytes;
+    entry.fragment = packet.fragment;
+    entry.fragments = packet.fragments;
     entry.retx.queued = false;
   }
 
@@ -37,6 +43,8 @@ class SentPacketCache {
   /// `now` and marked queued until it is re-inserted. Returns nullopt, and
   /// changes nothing, when the seq is absent, its previous retransmission is
   /// still queued, or that one was queued less than `dedup_window` ago.
+  /// The returned packet's `send_time` and `is_retransmission` are left at
+  /// their defaults: the pacer stamps the one, the caller sets the other.
   std::optional<RtpPacket> claim_retransmission(std::int64_t seq, SimTime now,
                                                 SimDuration dedup_window) {
     Entry* entry = sent_.find(seq);
@@ -45,7 +53,14 @@ class SentPacketCache {
     if (r.queued || now < r.queued_at + dedup_window) return std::nullopt;
     r.queued_at = now;
     r.queued = true;
-    return entry->packet;
+    RtpPacket packet;
+    packet.seq = seq;
+    packet.frame_id = entry->frame_id;
+    packet.fragment = entry->fragment;
+    packet.fragments = entry->fragments;
+    packet.bytes = entry->bytes;
+    packet.capture_time = entry->capture_time;
+    return packet;
   }
 
   std::size_t size() const { return sent_.size(); }
@@ -65,9 +80,14 @@ class SentPacketCache {
   static_assert(sizeof(Retx) == sizeof(SimTime));
 
   struct Entry {
-    RtpPacket packet;
+    std::int64_t frame_id = 0;
+    SimTime capture_time = 0;
+    std::int64_t bytes = 0;
+    int fragment = 0;
+    int fragments = 1;
     Retx retx;
   };
+  static_assert(sizeof(Entry) == 40);  // + the ring's 8-byte id: 48
 
   IdRing<Entry> sent_;
 };

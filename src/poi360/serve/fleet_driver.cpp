@@ -99,7 +99,7 @@ FleetCell::FleetCell(const FleetConfig& config, int cell_index,
     bool traced = false;
     if (tracing && sampler_.admit(sc.seed)) {
       sc.trace.enabled = true;
-      sc.trace.capacity = config_.telemetry.trace_sampling.ring_capacity;
+      sc.trace.capacity = config_.telemetry.trace_sampling.event_capacity;
       traced = true;
     }
     Slot& slot = slots_[static_cast<std::size_t>(i)];

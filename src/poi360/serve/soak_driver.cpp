@@ -213,7 +213,7 @@ void SoakDriver::on_arrival() {
     if (sampler_.admit(
             runner::derive_seed(config_.seed, static_cast<int>(id)))) {
       mc.session.trace.enabled = true;
-      mc.session.trace.capacity = config_.telemetry.trace_sampling.ring_capacity;
+      mc.session.trace.capacity = config_.telemetry.trace_sampling.event_capacity;
       traced = true;
     }
     if (trace_kept_) trace_kept_->set(sampler_.kept());

@@ -54,13 +54,14 @@ double roi_region_psnr(const QualityModel& model, const TileGrid& grid,
   // of the ring scan as a single linear-MSE factor. The per-tile MSE
   //   10^(-max(floor, enc - db·log2 l)/10)
   // factors as min(floor_mse, enc_mse · factor_t), because x ↦ 10^(-x/10)
-  // is monotone decreasing; factor_t and its per-(center, ring) partial
+  // is monotone decreasing; factor_t and the centre's per-ring partial
   // sums are frozen on the matrix, so a warm call is O(rings) with zero
   // transcendentals until the final log10.
   const double enc_psnr = model.encode_psnr(bpp);
   const double enc_mse = std::pow(10.0, -enc_psnr / 10.0);
-  const CompressionMatrix::PsnrRings& pr = levels.psnr_rings(grid, model);
   const int c = grid.flat(center);
+  const CompressionMatrix::PsnrRings& pr = levels.psnr_rings(grid, model, c);
+  const CompressionMatrix::RingStats& stats = pr.at(c);
   double weighted_mse = 0.0;
   double total_weight = 0.0;
   for (int ring = 0; ring < TileGridTables::kRings; ++ring) {
@@ -70,13 +71,11 @@ double roi_region_psnr(const QualityModel& model, const TileGrid& grid,
     // is unchanged.
     const int ring_count = pr.tables->ring_count(c, ring);
     if (ring_count == 0) continue;
-    const std::size_t slot =
-        static_cast<std::size_t>(c) * TileGridTables::kRings + ring;
     double ring_mse;
-    if (enc_mse * pr.ring_max[slot] <= pr.floor_mse) {
+    if (enc_mse * stats.max[ring] <= pr.floor_mse) {
       // No tile in the ring hits the PSNR floor: the clamp is inert and the
       // whole gather collapses into one multiply by the frozen partial sum.
-      ring_mse = enc_mse * pr.ring_sum[slot];
+      ring_mse = enc_mse * stats.sum[ring];
     } else {
       // Some tile clamps: gather the ring and apply the floor tile by tile,
       // accumulating left to right in the ring walk's order.

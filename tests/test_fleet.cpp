@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <filesystem>
 #include <string>
@@ -13,6 +14,7 @@
 
 #include "poi360/common/json.h"
 #include "poi360/lte/shared_cell.h"
+#include "poi360/runner/batch_runner.h"
 #include "poi360/serve/admission.h"
 #include "poi360/serve/fleet_driver.h"
 
@@ -171,6 +173,58 @@ TEST(FleetGate, DeterministicAcrossJobs) {
   EXPECT_EQ(serve::to_text(serial), serve::to_text(sharded));
   EXPECT_EQ(serve::to_json(serial), serve::to_json(sharded));
   EXPECT_EQ(0, serial.failed_sessions);
+}
+
+// Cells built and stepped on two parallel_for workers at once. Every
+// session fetches its compression-mode tables from the process-wide
+// registry; the cells use configurations no other test uses, two of them
+// shared and the others distinct, so first lookups and insertions race on
+// the registry (under fleet_tsan_gate). Each cell's results equal the same
+// cell run alone.
+TEST(FleetGate, SharedModeTablesAcrossWorkers) {
+  serve::FleetConfig base = small_fleet();
+  base.cells = 1;
+  base.sessions_per_cell = 3;
+  base.duration = sec(3);
+  base.session.pyramid_c = 1.31;
+  base.ladder = {{core::RateControl::kFbcc, core::CompressionScheme::kPoi360},
+                 {core::RateControl::kGcc, core::CompressionScheme::kConduit},
+                 {core::RateControl::kGcc, core::CompressionScheme::kPyramid}};
+  std::vector<serve::FleetConfig> configs(4, base);
+  configs[1].seed = 4;  // same tables as cell 0
+  configs[2].session.pyramid_c = 1.32;
+  configs[3].session.conduit_fov_radius = 2;
+
+  auto run_cell = [](const serve::FleetConfig& config) {
+    serve::FleetCell cell(config, 0);
+    cell.start();
+    for (SimTime t = 0; t < config.duration;) {
+      t = std::min<SimTime>(t + config.advance_quantum, config.duration);
+      cell.advance_to(t);
+    }
+    cell.finish();
+    return cell.results();
+  };
+  std::vector<std::vector<serve::FleetSessionResult>> sharded(configs.size());
+  runner::BatchRunner::parallel_for(
+      2, configs.size(),
+      [&](std::size_t k) { sharded[k] = run_cell(configs[k]); });
+
+  for (std::size_t k = 0; k < configs.size(); ++k) {
+    const std::vector<serve::FleetSessionResult> alone = run_cell(configs[k]);
+    ASSERT_EQ(alone.size(), sharded[k].size());
+    for (std::size_t i = 0; i < alone.size(); ++i) {
+      const serve::FleetSessionResult& a = alone[i];
+      const serve::FleetSessionResult& b = sharded[k][i];
+      EXPECT_TRUE(b.ok) << b.error;
+      EXPECT_GT(b.displayed_frames, 0) << "cell " << k << " slot " << i;
+      EXPECT_EQ(a.displayed_frames, b.displayed_frames);
+      EXPECT_EQ(a.mean_throughput_mbps, b.mean_throughput_mbps);
+      EXPECT_EQ(a.freeze_ratio, b.freeze_ratio);
+      EXPECT_EQ(a.mean_delay_ms, b.mean_delay_ms);
+      EXPECT_EQ(a.mean_roi_psnr_db, b.mean_roi_psnr_db);
+    }
+  }
 }
 
 // Mixed FBCC/GCC population on one cell: every session must make progress

@@ -379,6 +379,9 @@ class ReferenceSentPacketCache {
   std::unordered_map<std::uint64_t, std::int64_t> by_residue_;
 };
 
+// `a` is a claimed copy, `b` the reference's stored packet: equal in every
+// field a retransmission re-sends. The claimed copy leaves `send_time` (the
+// pacer stamps it) and `is_retransmission` (the session sets it) unset.
 bool same_packet(const std::optional<RtpPacket>& a,
                  const std::optional<RtpPacket>& b) {
   if (a.has_value() != b.has_value()) return false;
@@ -386,8 +389,7 @@ bool same_packet(const std::optional<RtpPacket>& a,
   return a->seq == b->seq && a->frame_id == b->frame_id &&
          a->fragment == b->fragment && a->fragments == b->fragments &&
          a->bytes == b->bytes && a->capture_time == b->capture_time &&
-         a->send_time == b->send_time &&
-         a->is_retransmission == b->is_retransmission;
+         a->send_time == 0 && !a->is_retransmission;
 }
 
 TEST(SentPacketCache, MatchesTheMapAndDequeReferenceUnderRandomTraffic) {
@@ -421,7 +423,10 @@ TEST(SentPacketCache, MatchesTheMapAndDequeReferenceUnderRandomTraffic) {
         continue;
       }
       p.frame_id = p.seq / 3;
+      p.fragment = static_cast<int>(op % 5);
+      p.fragments = 5;
       p.bytes = rng.uniform_int(1, 1200);
+      p.capture_time = op / 7;
       p.send_time = op;
       p.is_retransmission = kind >= 0.6;
       cache.insert(p);

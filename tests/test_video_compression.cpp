@@ -197,7 +197,7 @@ TEST(CompressionMatrix, Log2CacheMatchesStdLog2) {
   const CompressionMatrix m(4, 4, std::move(levels));
   const QualityModel q;
   const TileGrid grid(4, 4, 1920, 960);
-  const CompressionMatrix::PsnrRings& pr = m.psnr_rings(grid, q);
+  const CompressionMatrix::PsnrRings& pr = m.psnr_rings(grid, q, 0);
   for (int j = 0; j < 4; ++j) {
     for (int i = 0; i < 4; ++i) {
       EXPECT_EQ(pr.mse_factors[static_cast<std::size_t>(j) * 4 + i],

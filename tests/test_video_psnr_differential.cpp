@@ -3,7 +3,11 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <vector>
 
+#include "poi360/baseline/conduit.h"
+#include "poi360/baseline/pyramid.h"
 #include "poi360/video/compression.h"
 #include "poi360/video/quality.h"
 #include "poi360/video/tile_grid.h"
@@ -89,15 +93,13 @@ TEST(RoiPsnrDifferential, AllModesAllCentersMatchReference) {
                 << ") eval (" << eval.i << "," << eval.j << ") bpp " << bpp;
 
             // The branch predicate of roi_region_psnr, ring by ring.
-            const auto& pr = cached->psnr_rings(grid, q);
-            const double enc_mse = std::pow(10.0, -q.encode_psnr(bpp) / 10.0);
             const int c = grid.flat(eval);
+            const auto& pr = cached->psnr_rings(grid, q, c);
+            const double enc_mse = std::pow(10.0, -q.encode_psnr(bpp) / 10.0);
             for (int ring = 0; ring < TileGridTables::kRings; ++ring) {
               const int n = pr.tables->ring_count(c, ring);
               if (n == 0) continue;
-              const std::size_t slot =
-                  static_cast<std::size_t>(c) * TileGridTables::kRings + ring;
-              if (enc_mse * pr.ring_max[slot] <= pr.floor_mse) {
+              if (enc_mse * pr.at(c).max[ring] <= pr.floor_mse) {
                 ++unclamped_rings;
                 continue;
               }
@@ -228,6 +230,212 @@ TEST(RingGeometry, EdgeRenormalizationKeepsUniformFrameExact) {
         TileIndex{6, 7}}) {
     EXPECT_NEAR(roi_region_psnr(q, grid, uniform, center, 0.06), tile, 1e-9)
         << "(" << center.i << "," << center.j << ")";
+  }
+}
+
+// ------------------------------------------------- shared mode tables --
+
+/// The modes a session registers: the adaptive table's K plus both
+/// baselines, under their session mode ids.
+struct SessionModes {
+  ModeTable table{8, 1.8, 1.1};
+  baseline::ConduitMode conduit{1, 256.0};
+  baseline::PyramidMode pyramid{1.3, 64.0};
+
+  std::vector<ModeTables::ModeSpec> specs() const {
+    std::vector<ModeTables::ModeSpec> modes;
+    for (int m = 1; m <= table.size(); ++m) modes.push_back({m, &table.mode(m)});
+    modes.push_back({baseline::ConduitMode::kModeId, &conduit});
+    modes.push_back({baseline::PyramidMode::kModeId, &pyramid});
+    return modes;
+  }
+};
+
+constexpr ModeTables::FloorInputs kFloor{0.018, 36};
+
+/// Ring sums and maxima of the per-tile factors of `m` around `centre`,
+/// straight from the levels: a pow per tile, in the ring walk's order.
+CompressionMatrix::RingStats direct_ring_stats(const QualityModel& q,
+                                               const TileGrid& grid,
+                                               const CompressionMatrix& m,
+                                               int centre) {
+  const auto tables = TileGridTables::shared_for(grid);
+  CompressionMatrix::RingStats stats{};
+  for (int ring = 0; ring < TileGridTables::kRings; ++ring) {
+    const std::int32_t* idx = tables->ring_tiles(centre, ring);
+    double sum = 0.0;
+    double mx = 0.0;
+    for (int k = 0; k < tables->ring_count(centre, ring); ++k) {
+      const TileIndex t{idx[k] % grid.cols(), idx[k] / grid.cols()};
+      const double f =
+          std::pow(10.0, q.downsample_db_per_octave * std::log2(m.at(t)) / 10.0);
+      sum += f;
+      mx = std::max(mx, f);
+    }
+    stats.sum[ring] = sum;
+    stats.max[ring] = mx;
+  }
+  return stats;
+}
+
+/// Every registered mode × every ROI × every display centre, on the paper
+/// grid and on an odd-width grid, in the clamp-free, mixed and
+/// floor-clamped regimes: a matrix materialized over shared ModeTables
+/// (levels, min_level, effective_tiles, the gathered PSNR factors, the
+/// centre's ring stats and roi_region_psnr) equals the uncached reference
+/// — CompressionMode::matrix_for evaluated by roi_region_psnr, whose
+/// sidecar takes a pow per tile — bit for bit. Both ring branches are
+/// required to occur.
+TEST(SharedModeTables, EveryModeRoiAndCentreMatchesUncachedBitwise) {
+  const QualityModel q;
+  const SessionModes session;
+  for (const TileGrid& grid :
+       {TileGrid::paper_default(), TileGrid(7, 5, 1400, 1000)}) {
+    const auto tables = std::make_shared<const ModeTables>(grid, q, kFloor,
+                                                           session.specs());
+    const ModeMatrixCache cache(tables);
+    int unclamped_rings = 0;
+    int clamped_rings = 0;
+    for (const ModeTables::ModeSpec& spec : session.specs()) {
+      for (int r = 0; r < grid.tile_count(); ++r) {
+        const TileIndex roi{r % grid.cols(), r / grid.cols()};
+        const auto shared = cache.matrix(spec.id, roi);
+        const CompressionMatrix direct = spec.mode->matrix_for(grid, roi);
+        ASSERT_EQ(shared->min_level(), direct.min_level());
+        ASSERT_EQ(shared->effective_tiles(), direct.effective_tiles());
+        for (int t = 0; t < grid.tile_count(); ++t) {
+          const TileIndex tile{t % grid.cols(), t / grid.cols()};
+          ASSERT_EQ(shared->at(tile), direct.at(tile));
+        }
+        for (int c = 0; c < grid.tile_count(); ++c) {
+          const TileIndex centre{c % grid.cols(), c / grid.cols()};
+          for (double bpp : {0.06, 0.01, 0.002}) {
+            ASSERT_EQ(roi_region_psnr(q, grid, *shared, centre, bpp),
+                      roi_region_psnr(q, grid, direct, centre, bpp))
+                << "mode " << spec.id << " roi " << r << " centre " << c
+                << " bpp " << bpp;
+            const double enc_mse =
+                std::pow(10.0, -q.encode_psnr(bpp) / 10.0);
+            const auto& pr = shared->psnr_rings(grid, q, c);
+            for (int ring = 0; ring < TileGridTables::kRings; ++ring) {
+              if (pr.tables->ring_count(c, ring) == 0) continue;
+              if (enc_mse * pr.at(c).max[ring] <= pr.floor_mse) {
+                ++unclamped_rings;
+              } else {
+                ++clamped_rings;
+              }
+            }
+          }
+          const auto& got = shared->psnr_rings(grid, q, c);
+          const auto& ref = direct.psnr_rings(grid, q, c);
+          const CompressionMatrix::RingStats want =
+              direct_ring_stats(q, grid, direct, c);
+          for (int ring = 0; ring < TileGridTables::kRings; ++ring) {
+            ASSERT_EQ(got.at(c).sum[ring], want.sum[ring]);
+            ASSERT_EQ(got.at(c).max[ring], want.max[ring]);
+            ASSERT_EQ(ref.at(c).sum[ring], want.sum[ring]);
+            ASSERT_EQ(ref.at(c).max[ring], want.max[ring]);
+          }
+        }
+        const auto& got = shared->psnr_rings(grid, q, 0);
+        const auto& ref = direct.psnr_rings(grid, q, 0);
+        ASSERT_EQ(got.floor_mse, ref.floor_mse);
+        ASSERT_EQ(got.mse_factors, ref.mse_factors);
+      }
+    }
+    EXPECT_GT(unclamped_rings, 0) << grid.cols() << "x" << grid.rows();
+    EXPECT_GT(clamped_rings, 0) << grid.cols() << "x" << grid.rows();
+  }
+}
+
+/// The shared floor rates are what the session used to compute from the
+/// centre matrix: floor_bpp × effective_tiles × tile pixels × fps.
+TEST(SharedModeTables, FloorRatesMatchTheCentreMatrix) {
+  const QualityModel q;
+  const SessionModes session;
+  for (const TileGrid& grid :
+       {TileGrid::paper_default(), TileGrid(7, 5, 1400, 1000)}) {
+    const ModeTables tables(grid, q, kFloor, session.specs());
+    const TileIndex centre{grid.cols() / 2, grid.rows() / 2};
+    for (const ModeTables::ModeSpec& spec : session.specs()) {
+      const CompressionMatrix m = spec.mode->matrix_for(grid, centre);
+      EXPECT_EQ(tables.floor_rate(spec.id),
+                kFloor.floor_bpp * m.effective_tiles() *
+                    static_cast<double>(grid.tile_pixels()) * kFloor.fps)
+          << "mode " << spec.id;
+    }
+    EXPECT_THROW(tables.floor_rate(9), std::out_of_range);
+  }
+}
+
+/// The registry shares tables only between exactly equal configurations:
+/// a change to any mode parameter, the quality-model fields or the floor
+/// inputs gets its own tables, whose LUTs reflect the change. Names play
+/// no part: Conduit's and Pyramid's carry no parameters.
+TEST(SharedModeTables, RegistryKeysOnEveryParameter) {
+  const TileGrid grid = TileGrid::paper_default();
+  const QualityModel q;
+  const SessionModes session;
+  const auto base = ModeTables::shared_for(grid, q, kFloor, session.specs());
+  EXPECT_EQ(base, ModeTables::shared_for(grid, q, kFloor, session.specs()));
+
+  SessionModes wide = session;
+  wide.conduit = baseline::ConduitMode(2, 256.0);
+  const auto conduit2 = ModeTables::shared_for(grid, q, kFloor, wide.specs());
+  EXPECT_NE(base, conduit2);
+  EXPECT_NE(base->floor_rate(baseline::ConduitMode::kModeId),
+            conduit2->floor_rate(baseline::ConduitMode::kModeId));
+
+  SessionModes steep = session;
+  steep.pyramid = baseline::PyramidMode(1.4, 64.0);
+  const auto pyramid14 = ModeTables::shared_for(grid, q, kFloor, steep.specs());
+  EXPECT_NE(base, pyramid14);
+  EXPECT_NE(base->modes().back().level, pyramid14->modes().back().level);
+
+  QualityModel floor14 = q;
+  floor14.floor_db = 14.0;
+  const auto f14 = ModeTables::shared_for(grid, floor14, kFloor,
+                                          session.specs());
+  EXPECT_NE(base, f14);
+  EXPECT_NE(base->floor_mse(), f14->floor_mse());
+
+  QualityModel db5 = q;
+  db5.downsample_db_per_octave = 5.0;
+  EXPECT_NE(base, ModeTables::shared_for(grid, db5, kFloor, session.specs()));
+  EXPECT_NE(base, ModeTables::shared_for(grid, q, {0.02, 36}, session.specs()));
+  EXPECT_NE(base, ModeTables::shared_for(grid, q, {0.018, 30}, session.specs()));
+  EXPECT_NE(base, ModeTables::shared_for(TileGrid(12, 8, 1920, 960), q, kFloor,
+                                         session.specs()));
+
+  // The same modes under other ids, or fewer of them, are another set.
+  std::vector<ModeTables::ModeSpec> renumbered = session.specs();
+  renumbered.front().id = 42;
+  EXPECT_NE(base, ModeTables::shared_for(grid, q, kFloor, renumbered));
+  std::vector<ModeTables::ModeSpec> fewer = session.specs();
+  fewer.pop_back();
+  EXPECT_NE(base, ModeTables::shared_for(grid, q, kFloor, fewer));
+
+  // Equal parameters from distinct objects share.
+  const SessionModes again;
+  EXPECT_EQ(base, ModeTables::shared_for(grid, q, kFloor, again.specs()));
+}
+
+/// A shared-table matrix evaluated under another QualityModel rebuilds its
+/// sidecar instead of serving the tables' factors.
+TEST(SharedModeTables, OtherModelRebuildsTheSidecar) {
+  const TileGrid grid = TileGrid::paper_default();
+  const QualityModel q;
+  const SessionModes session;
+  const ModeMatrixCache cache(
+      ModeTables::shared_for(grid, q, kFloor, session.specs()));
+  QualityModel other = q;
+  other.downsample_db_per_octave = 5.0;
+  other.floor_db = 14.0;
+  const auto shared = cache.matrix(3, {6, 4});
+  const CompressionMatrix direct = session.table.mode(3).matrix_for(grid, {6, 4});
+  for (const QualityModel& model : {q, other, q}) {
+    EXPECT_EQ(roi_region_psnr(model, grid, *shared, {7, 4}, 0.03),
+              roi_region_psnr(model, grid, direct, {7, 4}, 0.03));
   }
 }
 
